@@ -350,7 +350,6 @@ pub struct Core {
 
     // Persistent scratch buffers for squash bookkeeping, taken with
     // `mem::take` while in use so their capacity survives across calls.
-    scratch_doomed: Vec<PathId>,
     scratch_subtree: Vec<PathId>,
     scratch_killed: Vec<PathId>,
     scratch_released: Vec<CkptHandle>,
@@ -439,7 +438,6 @@ impl Core {
             #[cfg(feature = "commit-stream")]
             check_stream: None,
             occupancy: Occupancy::new(&config),
-            scratch_doomed: Vec::new(),
             scratch_subtree: Vec::new(),
             scratch_killed: Vec::new(),
             scratch_released: Vec::new(),
@@ -1106,33 +1104,15 @@ impl Core {
     fn squash_lineage(&mut self, base: PathId, min_seq: u64, cause: LostCause) {
         // Kill paths whose fork chain leaves `base` strictly after
         // `min_seq` — including paths that already stopped fetching
-        // (retired fork parents): their in-flight micro-ops are part of
-        // the squashed continuation too.
-        let mut doomed = std::mem::take(&mut self.scratch_doomed);
-        doomed.clear();
-        for i in 0..self.paths.path_count() {
-            let q = PathId::from_index(i);
-            if q != base && self.paths.on_lineage(q, u64::MAX, base, min_seq) {
-                doomed.push(q);
-            }
-        }
+        // (retired fork parents): their in-flight micro-ops are on the
+        // squashed lineage too, so `on_lineage` below covers them.
         let mut killed = std::mem::take(&mut self.scratch_killed);
         killed.clear();
-        let mut subtree = std::mem::take(&mut self.scratch_subtree);
-        for &q in &doomed {
-            subtree.clear();
-            self.paths.kill_subtree_into(q, &mut subtree);
-            for &k in &subtree {
-                if !killed.contains(&k) {
-                    killed.push(k);
-                }
-            }
-        }
-        self.scratch_subtree = subtree;
-        self.scratch_doomed = doomed;
+        self.paths.kill_forks_after_into(base, min_seq, &mut killed);
         for &q in &killed {
             self.ras.on_path_death(q);
         }
+        self.scratch_killed = killed;
 
         let mut released = std::mem::take(&mut self.scratch_released);
         let mut squashed_seqs = std::mem::take(&mut self.scratch_seqs);
@@ -1144,9 +1124,7 @@ impl Core {
                 let u = &self.slab[su];
                 (u.path, u.seq, u.squashed)
             };
-            if !usq
-                && (self.paths.on_lineage(upath, useq, base, min_seq) || killed.contains(&upath))
-            {
+            if !usq && self.paths.on_lineage(upath, useq, base, min_seq) {
                 let handle = {
                     let u = &mut self.slab[su];
                     u.squashed = true;
@@ -1167,7 +1145,7 @@ impl Core {
             let mut s = lsq.head;
             while s != NIL {
                 let e = &mut lsq.entries[s as usize];
-                if paths.on_lineage(e.path, e.seq, base, min_seq) || killed.contains(&e.path) {
+                if paths.on_lineage(e.path, e.seq, base, min_seq) {
                     e.squashed = true;
                 }
                 s = lsq.next[s as usize];
@@ -1182,9 +1160,7 @@ impl Core {
                 let u = &self.slab[su];
                 (u.path, u.seq, u.squashed)
             };
-            if !usq
-                && (self.paths.on_lineage(upath, useq, base, min_seq) || killed.contains(&upath))
-            {
+            if !usq && self.paths.on_lineage(upath, useq, base, min_seq) {
                 squashed_seqs.push(useq);
                 self.stats.squashed_uops += 1;
                 if let Some(handle) = self.slab[su].ras_ckpt.take() {
@@ -1196,7 +1172,6 @@ impl Core {
                 self.fetch_queue.push_back((ready, slot));
             }
         }
-        self.scratch_killed = killed;
         hydra_trace::trace_event!(hydra_trace::TraceEvent::Squash {
             cycle: self.cycle,
             hart: self.hart.index() as u64,

@@ -73,17 +73,52 @@ impl fmt::Display for HartId {
     }
 }
 
+/// "No path" in a [`PathInfo`] link. Links are bare `u32`s, not
+/// `Option<PathId>` (eight bytes each), so a `PathInfo` with three of
+/// them stays 24 bytes: the child links cost no memory per path.
+const NO_PATH: u32 = u32::MAX;
+
+fn link(index: u32) -> Option<PathId> {
+    (index != NO_PATH).then_some(PathId(index))
+}
+
 #[derive(Debug, Clone, Copy)]
 struct PathInfo {
-    parent: Option<PathId>,
     fork_seq: u64,
+    parent: u32,
+    /// Newest child, linked to older ones through their `next_sib`.
+    /// Derived from `parent`; never serialized.
+    first_child: u32,
+    next_sib: u32,
     alive: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<PathInfo>() == 24);
+
+impl PathInfo {
+    fn new(parent: Option<PathId>, fork_seq: u64, alive: bool) -> Self {
+        PathInfo {
+            fork_seq,
+            parent: parent.map_or(NO_PATH, |p| p.0),
+            first_child: NO_PATH,
+            next_sib: NO_PATH,
+            alive,
+        }
+    }
 }
 
 /// The path tree: creation, death, lineage and visibility queries.
 ///
 /// Paths are never recycled within a simulation (identifiers are dense
 /// and monotone), but only up to `max_live` may be alive at once.
+///
+/// Queries never scan every path ever created. They rely on each fork
+/// using a larger seq than every fork before it, as the core's single
+/// fetch counter guarantees. Then `fork_seq` strictly falls going up any
+/// ancestor chain, and each newest-first child list is sorted by
+/// descending `fork_seq`. Every walk stops at the first fork at or
+/// before the sequence it asks about, so it costs no more than the forks
+/// younger than that sequence.
 ///
 /// # Examples
 ///
@@ -117,11 +152,7 @@ impl PathTable {
     pub fn new(max_live: usize) -> Self {
         assert!(max_live > 0, "need at least one live path");
         PathTable {
-            paths: vec![PathInfo {
-                parent: None,
-                fork_seq: 0,
-                alive: true,
-            }],
+            paths: vec![PathInfo::new(None, 0, true)],
             max_live,
             alive_ids: vec![PathId::ROOT],
         }
@@ -162,7 +193,7 @@ impl PathTable {
 
     /// The parent of `path`, if it has one.
     pub fn parent(&self, path: PathId) -> Option<PathId> {
-        self.paths[path.index()].parent
+        link(self.paths[path.index()].parent)
     }
 
     /// The fetch sequence of the branch that forked `path` (0 for root).
@@ -177,31 +208,24 @@ impl PathTable {
             return None;
         }
         let id = PathId(self.paths.len() as u32);
-        self.paths.push(PathInfo {
-            parent: Some(parent),
-            fork_seq: seq,
-            alive: true,
-        });
+        self.paths.push(PathInfo::new(Some(parent), seq, true));
+        self.link_child(id);
         self.alive_ids.push(id); // new ids are largest: order preserved
         Some(id)
     }
 
-    /// Whether `descendant` is `ancestor` or transitively forked from it.
-    pub fn in_subtree(&self, descendant: PathId, ancestor: PathId) -> bool {
-        let mut cur = Some(descendant);
-        while let Some(p) = cur {
-            if p == ancestor {
-                return true;
-            }
-            cur = self.parent(p);
-        }
-        false
+    /// Makes `child` the newest entry of its parent's child list.
+    fn link_child(&mut self, child: PathId) {
+        let parent = self.parent(child).expect("a child has a parent");
+        let older = std::mem::replace(&mut self.paths[parent.index()].first_child, child.0);
+        self.paths[child.index()].next_sib = older;
     }
 
     /// Kills `root` and every path forked from it (transitively).
-    /// Returns **all** subtree members, including paths that were already
-    /// dead (e.g. retired parents whose fork lost): a squash triggered at
-    /// the subtree root must discard their in-flight micro-ops too.
+    /// Returns **all** subtree members in ascending id order, including
+    /// paths that were already dead (e.g. retired parents whose fork
+    /// lost): a squash triggered at the subtree root must discard their
+    /// in-flight micro-ops too.
     pub fn kill_subtree(&mut self, root: PathId) -> Vec<PathId> {
         let mut ids = Vec::new();
         self.kill_subtree_into(root, &mut ids);
@@ -211,21 +235,46 @@ impl PathTable {
     /// [`PathTable::kill_subtree`] appending into a caller-provided
     /// buffer instead of allocating (the hot-path form).
     pub fn kill_subtree_into(&mut self, root: PathId, out: &mut Vec<PathId>) {
-        for i in 0..self.paths.len() {
-            let p = PathId(i as u32);
-            if self.in_subtree(p, root) {
-                out.push(p);
-                if self.paths[i].alive {
-                    self.paths[i].alive = false;
-                    self.alive_ids_remove(p);
-                }
+        let start = out.len();
+        let mut cur = root;
+        loop {
+            out.push(cur);
+            self.retire_path(cur);
+            let mut next = link(self.paths[cur.index()].first_child);
+            // At a leaf, climb until a subtree member has an older sibling.
+            while next.is_none() && cur != root {
+                next = link(self.paths[cur.index()].next_sib);
+                cur = self.parent(cur).expect("below the root");
+            }
+            match next {
+                Some(p) => cur = p,
+                None => break,
             }
         }
+        out[start..].sort_unstable();
     }
 
-    /// Every path ever created, in creation order.
-    pub fn all_paths(&self) -> Vec<PathId> {
-        (0..self.paths.len() as u32).map(PathId).collect()
+    /// Kills every path whose fork chain leaves `base` strictly after
+    /// `min_seq` — exactly the paths `q != base` with `on_lineage(q, _,
+    /// base, min_seq)` — and appends them to `out`: the subtrees of
+    /// `base`'s children forked after `min_seq`, oldest child first,
+    /// each as [`PathTable::kill_subtree`] returns it. Paths already dead
+    /// are included, as there.
+    pub fn kill_forks_after_into(&mut self, base: PathId, min_seq: u64, out: &mut Vec<PathId>) {
+        // Those children are a prefix of the newest-first list. Stage them
+        // in `out`, expand them oldest first, then drop the staging.
+        let start = out.len();
+        let mut next = link(self.paths[base.index()].first_child);
+        while let Some(child) = next.filter(|&c| self.fork_seq(c) > min_seq) {
+            out.push(child);
+            next = link(self.paths[child.index()].next_sib);
+        }
+        let staged = out.len();
+        for i in (start..staged).rev() {
+            let child = out[i];
+            self.kill_subtree_into(child, out);
+        }
+        out.drain(start..staged);
     }
 
     /// Marks a single path dead without touching its descendants (used
@@ -262,38 +311,26 @@ impl PathTable {
         if uop_path == base {
             return uop_seq > min_seq;
         }
-        // Walk up from uop_path to find the link that leaves `base`.
-        let mut cur = uop_path;
-        loop {
-            match self.parent(cur) {
-                Some(p) if p == base => return self.fork_seq(cur) > min_seq,
-                Some(p) => cur = p,
-                None => return false,
+        // Walk up from uop_path to the link that leaves `base`. Fork seqs
+        // fall going up, so a link at or before `min_seq` settles it.
+        let mut cur = &self.paths[uop_path.index()];
+        while cur.fork_seq > min_seq {
+            match link(cur.parent) {
+                Some(p) if p == base => return true,
+                Some(p) => cur = &self.paths[p.index()],
+                None => break,
             }
         }
-    }
-
-    /// **Visibility**: the ancestor horizons of `path` — pairs
-    /// `(ancestor, horizon)` meaning micro-ops on `ancestor` with
-    /// `seq <= horizon` are visible to `path`. The path itself appears
-    /// with horizon `u64::MAX`.
-    pub fn visibility(&self, path: PathId) -> Vec<(PathId, u64)> {
-        let mut out = vec![(path, u64::MAX)];
-        let mut cur = path;
-        let mut horizon = u64::MAX;
-        while let Some(parent) = self.parent(cur) {
-            horizon = horizon.min(self.fork_seq(cur));
-            out.push((parent, horizon));
-            cur = parent;
-        }
-        out
+        false
     }
 
     /// Raw rows for the snapshot serializer: one
     /// `(parent, fork_seq, alive)` triple per path ever created, in
     /// creation order.
     pub(crate) fn snapshot_rows(&self) -> impl Iterator<Item = (Option<PathId>, u64, bool)> + '_ {
-        self.paths.iter().map(|p| (p.parent, p.fork_seq, p.alive))
+        self.paths
+            .iter()
+            .map(|p| (link(p.parent), p.fork_seq, p.alive))
     }
 
     /// The `max_live` bound this table was created with.
@@ -306,7 +343,9 @@ impl PathTable {
     /// with a parent, a parent reference that is not an earlier path, or
     /// more live paths than `max_live` allows. The live list is
     /// reconstructed from the alive flags — it is always sorted by id,
-    /// which is exactly the order the incremental maintenance preserves.
+    /// which is exactly the order the incremental maintenance preserves —
+    /// and the child lists by linking the rows in creation order, as
+    /// [`PathTable::fork`] did.
     pub(crate) fn from_snapshot_rows(
         rows: Vec<(Option<PathId>, u64, bool)>,
         max_live: usize,
@@ -317,8 +356,11 @@ impl PathTable {
         if rows[0].0.is_some() {
             return None;
         }
-        let mut paths = Vec::with_capacity(rows.len());
-        let mut alive_ids = Vec::new();
+        let mut table = PathTable {
+            paths: Vec::with_capacity(rows.len()),
+            max_live,
+            alive_ids: Vec::new(),
+        };
         for (i, (parent, fork_seq, alive)) in rows.into_iter().enumerate() {
             match parent {
                 Some(p) if p.index() >= i => return None,
@@ -326,29 +368,26 @@ impl PathTable {
                 _ => {}
             }
             if alive {
-                alive_ids.push(PathId(i as u32));
+                table.alive_ids.push(PathId(i as u32));
             }
-            paths.push(PathInfo {
-                parent,
-                fork_seq,
-                alive,
-            });
+            table.paths.push(PathInfo::new(parent, fork_seq, alive));
+            if i > 0 {
+                table.link_child(PathId(i as u32));
+            }
         }
-        if alive_ids.len() > max_live {
+        if table.alive_ids.len() > max_live {
             return None;
         }
-        Some(PathTable {
-            paths,
-            max_live,
-            alive_ids,
-        })
+        Some(table)
     }
 
-    /// Whether a micro-op at `(uop_path, uop_seq)` is visible to `path`.
+    /// **Visibility**: whether a micro-op at `(uop_path, uop_seq)` is
+    /// visible to `path` — it is on `path` itself, or on an ancestor at
+    /// or before the (lowest) fork point on the chain leading to `path`.
     ///
-    /// Equivalent to scanning [`PathTable::visibility`], but walks the
-    /// ancestor chain directly — this runs per LSQ entry per load in the
-    /// core's hot loop and must not allocate.
+    /// Runs per LSQ entry per load in the core's hot loop, so it walks
+    /// the ancestor chain without allocating and stops as soon as the
+    /// horizon, which only falls going up, passes below `uop_seq`.
     pub fn visible(&self, uop_path: PathId, uop_seq: u64, path: PathId) -> bool {
         if uop_path == path {
             return true;
@@ -357,8 +396,11 @@ impl PathTable {
         let mut horizon = u64::MAX;
         while let Some(parent) = self.parent(cur) {
             horizon = horizon.min(self.fork_seq(cur));
+            if uop_seq > horizon {
+                return false;
+            }
             if parent == uop_path {
-                return uop_seq <= horizon;
+                return true;
             }
             cur = parent;
         }
@@ -463,6 +505,57 @@ mod tests {
         assert!(!t.visible(b, 1, a));
         // Root doesn't see children.
         assert!(!t.visible(a, 1, PathId::ROOT));
+    }
+
+    #[test]
+    fn snapshot_rows_rebuild_the_child_links() {
+        // Forks off several generations with retires and kills between
+        // them; seqs rise as the core's fetch counter does.
+        let mut t = PathTable::new(4);
+        let a = t.fork(PathId::ROOT, 10).unwrap();
+        let b = t.fork(a, 20).unwrap();
+        let c = t.fork(PathId::ROOT, 30).unwrap();
+        t.retire_path(PathId::ROOT);
+        let d = t.fork(b, 40).unwrap();
+        t.kill_subtree(c);
+        let e = t.fork(a, 50).unwrap();
+        t.retire_path(a);
+        let _f = t.fork(e, 60).unwrap();
+        assert_eq!(t.path_count(), 7);
+        let r = PathTable::from_snapshot_rows(t.snapshot_rows().collect(), t.max_live())
+            .expect("rows are consistent");
+        let links = |t: &PathTable| -> Vec<(u32, u32)> {
+            t.paths
+                .iter()
+                .map(|p| (p.first_child, p.next_sib))
+                .collect()
+        };
+        assert_eq!(links(&r), links(&t));
+        assert_eq!(r.alive_ids(), t.alive_ids());
+
+        let ids: Vec<PathId> = (0..t.path_count() as u32).map(PathId).collect();
+        let seqs = [0, 9, 10, 11, 20, 30, 40, 45, 50, 60, 61, u64::MAX];
+        for &p in &ids {
+            for &s in &seqs {
+                for &q in &ids {
+                    assert_eq!(r.visible(q, s, p), t.visible(q, s, p));
+                    for &m in &seqs {
+                        assert_eq!(r.on_lineage(q, s, p, m), t.on_lineage(q, s, p, m));
+                    }
+                }
+                let (mut tk, mut rk) = (t.clone(), r.clone());
+                let (mut tout, mut rout) = (Vec::new(), Vec::new());
+                tk.kill_forks_after_into(p, s, &mut tout);
+                rk.kill_forks_after_into(p, s, &mut rout);
+                assert_eq!(rout, tout);
+                assert_eq!(rk.alive_ids(), tk.alive_ids());
+            }
+            assert_eq!(r.clone().kill_subtree(p), t.clone().kill_subtree(p));
+        }
+        // The rebuilt table keeps forking where the original left off.
+        let (mut tk, mut rk) = (t.clone(), r);
+        assert_eq!(rk.fork(d, 70), tk.fork(d, 70));
+        assert_eq!(links(&rk), links(&tk));
     }
 
     #[test]

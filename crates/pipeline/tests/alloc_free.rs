@@ -8,33 +8,43 @@
 //! never released. This test pins the contract those designs add up to:
 //! once warm, `Core::run` performs **zero** heap allocations per cycle.
 //!
-//! A counting `#[global_allocator]` observes the whole process; the
-//! measurement window is single-threaded, so any nonzero delta is an
-//! allocation on the simulated path.
+//! A counting `#[global_allocator]` tallies allocations per thread. The
+//! simulator is single-threaded and the test harness runs these tests on
+//! parallel threads, so each window counts only its own thread: any
+//! nonzero delta is an allocation on the simulated path, never a
+//! sibling test's warm-up.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use hydra_pipeline::{Core, CoreConfig, RasSharing};
 use hydra_workloads::{Workload, WorkloadSpec};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialized and drop-free: reading it never allocates, so
+    // the allocator may touch it.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
 
 struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -46,11 +56,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Allocations observed while `f` runs.
+/// Allocations this thread made while `f` ran.
 fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 #[test]

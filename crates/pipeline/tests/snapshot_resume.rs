@@ -6,7 +6,7 @@
 //! golden check stays enabled across the split, so the resumed half is
 //! architecturally verified instruction by instruction.
 
-use hydra_pipeline::{Core, CoreConfig, RasSharing, ReturnPredictor, System};
+use hydra_pipeline::{Core, CoreConfig, RasSharing, ReturnPredictor, SimStats, System};
 use hydra_workloads::{Workload, WorkloadSpec};
 use ras_core::{MultipathStackPolicy, RepairPolicy};
 
@@ -36,8 +36,14 @@ fn ras_config(repair: RepairPolicy) -> CoreConfig {
 /// byte-identical: equal commit streams (when the tap is compiled in),
 /// equal final statistics, and equal final snapshot bytes. The golden
 /// check is live on both halves, so any architectural divergence on the
-/// resumed half panics inside `run`.
-fn assert_snapshot_transparent(config: CoreConfig, w: &Workload, split: u64, total: u64) {
+/// resumed half panics inside `run`. Returns the donor's statistics at
+/// the split point.
+fn assert_snapshot_transparent(
+    config: CoreConfig,
+    w: &Workload,
+    split: u64,
+    total: u64,
+) -> SimStats {
     let mut straight = Core::new(config, w.program());
     straight.enable_golden_check();
     #[cfg(feature = "commit-stream")]
@@ -52,7 +58,7 @@ fn assert_snapshot_transparent(config: CoreConfig, w: &Workload, split: u64, tot
     donor.enable_golden_check();
     #[cfg(feature = "commit-stream")]
     donor.enable_check_stream();
-    donor.run(split);
+    let split_stats = donor.run(split);
     #[cfg(feature = "commit-stream")]
     let mut split_events = Vec::new();
     #[cfg(feature = "commit-stream")]
@@ -77,6 +83,7 @@ fn assert_snapshot_transparent(config: CoreConfig, w: &Workload, split: u64, tot
         resumed.save_snapshot(),
         "final machine states diverge"
     );
+    split_stats
 }
 
 #[test]
@@ -112,7 +119,14 @@ fn resume_is_transparent_under_multipath() {
         },
         MultipathStackPolicy::PerPath,
     ] {
-        assert_snapshot_transparent(CoreConfig::multipath(4, policy), &w, 2_000, 5_000);
+        let at_split =
+            assert_snapshot_transparent(CoreConfig::multipath(4, policy), &w, 2_000, 5_000);
+        // The path tree's child links are rebuilt on resume, not
+        // serialized: a split with forks behind it exercises the rebuild.
+        assert!(
+            at_split.forks > 0,
+            "{policy:?}: no path forked before the split"
+        );
     }
 }
 
