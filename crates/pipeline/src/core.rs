@@ -323,6 +323,13 @@ pub struct Core {
     slab_free: Vec<u32>,
     fetch_queue: VecDeque<(u64, u32)>,
     ruu: VecDeque<u32>,
+    /// The ready list: `(seq, slot)` of every dispatched, unsquashed,
+    /// `Waiting` micro-op whose operands are all available, in seq order,
+    /// so issue selects oldest-first without walking the RUU. Fed at
+    /// dispatch and by the producers' wakeup lists at completion; entries
+    /// squashed since are dropped by the next issue. Derived state: a
+    /// snapshot decode rebuilds it from the RUU.
+    ready: Vec<(u64, u32)>,
     lsq: Lsq,
 
     stats: SimStats,
@@ -424,6 +431,9 @@ impl Core {
             slab_free: (0..slab_cap as u32).rev().collect(),
             fetch_queue: VecDeque::with_capacity(config.fetch_queue + 1),
             ruu: VecDeque::with_capacity(config.ruu_size + 1),
+            // Issue drops stale entries every cycle, so the list never
+            // holds more than one window's worth.
+            ready: Vec::with_capacity(config.ruu_size),
             lsq: Lsq::new(config.lsq_size),
             stats: SimStats {
                 max_live_paths: 1,
@@ -801,6 +811,7 @@ impl Core {
     /// list. The slot's contents stay in place (the wakeup list keeps
     /// its buffer) until [`Uop::reset`] on reuse.
     fn free_slot(&mut self, slot: u32) {
+        self.slab[slot as usize].in_ruu = false;
         self.slab_free.push(slot);
     }
 
@@ -863,12 +874,13 @@ impl Core {
             // those, not the whole window — and clear live rename-map
             // entries that still name it, so later fetches read the
             // register file. Entries for since-recycled consumer slots
-            // fail the `Pending(seq)` check and are skipped; maps of
-            // dead paths are rebuilt from scratch if ever revived.
+            // fail the `Pending` check and are skipped; maps of dead
+            // paths are rebuilt from scratch if ever revived.
+            let pending = Src::Pending { seq, slot };
             let consumers = std::mem::take(&mut self.slab[su].consumers);
             for &(cslot, i) in &consumers {
                 let s = &mut self.slab[cslot as usize].srcs[i as usize];
-                if *s == Src::Pending(seq) {
+                if *s == pending {
                     *s = Src::Value(value);
                 }
             }
@@ -985,6 +997,7 @@ impl Core {
             if let Some(t) = &mut self.ptrace {
                 t.on_complete(seq, self.cycle);
             }
+            self.wake_consumers(slot);
             let u = &self.slab[su];
             if u.squashed || !u.is_control() || u.resolved {
                 continue;
@@ -1290,17 +1303,86 @@ impl Core {
     // Issue and execution
     // ------------------------------------------------------------------
 
-    fn ruu_index(&self, seq: u64) -> Option<usize> {
-        self.ruu
-            .binary_search_by_key(&seq, |&slot| self.slab[slot as usize].seq)
-            .ok()
-    }
-
-    fn src_value(&self, src: Src) -> Option<i64> {
+    /// The value of a source operand, or `None` while its producer is
+    /// still in the RUU and not `Done`. A producer that has left the RUU
+    /// reads as 0: its retirement patched every live consumer to
+    /// `Src::Value`, so only squashed consumers can still name it, and
+    /// those never issue.
+    fn operand(&self, src: Src) -> Option<i64> {
         match src {
             Src::None => Some(0),
             Src::Value(v) => Some(v),
-            Src::Pending(seq) => match self.ruu_index(seq) {
+            Src::Pending { seq, slot } => match self.slab.get(slot as usize) {
+                Some(p) if p.seq == seq && p.in_ruu => {
+                    if p.is_done() {
+                        Some(p.result.unwrap_or(0))
+                    } else {
+                        None
+                    }
+                }
+                _ => Some(0),
+            },
+        }
+    }
+
+    /// Both operand values of the micro-op in `slot`, once available.
+    fn operands(&self, slot: u32) -> Option<(i64, i64)> {
+        let [s0, s1] = self.slab[slot as usize].srcs;
+        Some((self.operand(s0)?, self.operand(s1)?))
+    }
+
+    /// Whether the micro-op in `slot` belongs on the ready list.
+    fn is_ready(&self, slot: u32) -> bool {
+        let u = &self.slab[slot as usize];
+        u.in_ruu && !u.squashed && u.state == UopState::Waiting && self.operands(slot).is_some()
+    }
+
+    /// Lists `(seq, slot)` on the ready list in seq order. A micro-op can
+    /// be woken twice (both operands name one producer, or a recycled
+    /// slot re-registered next to its stale registration), so an entry
+    /// already present is not inserted again.
+    fn list_ready(&mut self, seq: u64, slot: u32) {
+        if let Err(at) = self.ready.binary_search(&(seq, slot)) {
+            debug_assert!(
+                self.ready.len() < self.ready.capacity(),
+                "ready list overflow"
+            );
+            self.ready.insert(at, (seq, slot));
+        }
+    }
+
+    /// Completion-time wakeup: lists every consumer on the producer's
+    /// wakeup list that this completion made fully ready. Consumers still
+    /// in the fetch queue are listed by dispatch instead.
+    fn wake_consumers(&mut self, producer: u32) {
+        let pending = Src::Pending {
+            seq: self.slab[producer as usize].seq,
+            slot: producer,
+        };
+        let consumers = std::mem::take(&mut self.slab[producer as usize].consumers);
+        for &(cslot, i) in &consumers {
+            if self.slab[cslot as usize].srcs[i as usize] == pending && self.is_ready(cslot) {
+                self.list_ready(self.slab[cslot as usize].seq, cslot);
+            }
+        }
+        self.slab[producer as usize].consumers = consumers;
+    }
+
+    /// Debug-build oracle: the live ready-list entries, with their operand
+    /// values, must equal what a walk of the whole RUU selects under the
+    /// original binary-search operand rule. Allocation-free, so it also
+    /// runs inside the steady-state allocation tests.
+    #[cfg(debug_assertions)]
+    fn check_ready_list(&self) {
+        let ruu_index = |seq: u64| {
+            self.ruu
+                .binary_search_by_key(&seq, |&slot| self.slab[slot as usize].seq)
+                .ok()
+        };
+        let src_value = |src: Src| match src {
+            Src::None => Some(0),
+            Src::Value(v) => Some(v),
+            Src::Pending { seq, .. } => match ruu_index(seq) {
                 Some(idx) => {
                     let p = &self.slab[self.ruu[idx] as usize];
                     if p.is_done() {
@@ -1309,38 +1391,62 @@ impl Core {
                         None
                     }
                 }
-                // Producer already committed: the register file value was
-                // captured into Src::Value at dispatch; Pending producers
-                // cannot commit while a consumer is still waiting unless
-                // the consumer is squashed, in which case any value works.
                 None => Some(0),
             },
-        }
+        };
+        let walk = self.ruu.iter().filter_map(|&slot| {
+            let u = &self.slab[slot as usize];
+            if u.squashed || u.state != UopState::Waiting {
+                return None;
+            }
+            Some((slot, src_value(u.srcs[0])?, src_value(u.srcs[1])?))
+        });
+        let listed = self.ready.iter().filter_map(|&(seq, slot)| {
+            let u = &self.slab[slot as usize];
+            if u.seq != seq || u.squashed {
+                return None;
+            }
+            let (a, b) = self.operands(slot)?;
+            Some((slot, a, b))
+        });
+        assert!(
+            listed.eq(walk),
+            "ready list diverged from the RUU walk at cycle {}",
+            self.cycle
+        );
     }
 
     fn issue(&mut self) {
+        #[cfg(debug_assertions)]
+        self.check_ready_list();
         let mut slots = self.config.issue_width;
-        // Positional iteration oldest-first: execution never adds or
-        // removes RUU entries, so no sequence snapshot is needed.
-        for i in 0..self.ruu.len() {
-            if slots == 0 {
-                break;
+        // Oldest-first over the ready list, compacting in place: issued
+        // and stale (squashed or recycled) entries are dropped — stale
+        // ones on every cycle, even once the issue width is used up, so
+        // a drained-then-recycled slot can never issue as the wrong
+        // micro-op. A load held back by memory ordering stays listed.
+        let mut ready = std::mem::take(&mut self.ready);
+        let mut kept = 0;
+        for i in 0..ready.len() {
+            let (seq, slot) = ready[i];
+            let u = &self.slab[slot as usize];
+            if u.seq != seq || u.squashed {
+                continue;
             }
-            let slot = self.ruu[i];
-            let (s0, s1) = {
-                let u = &self.slab[slot as usize];
-                if u.squashed || u.state != UopState::Waiting {
+            if slots > 0 {
+                let (a, b) = self
+                    .operands(slot)
+                    .expect("listed micro-op lost an operand");
+                if self.try_execute(slot, a, b) {
+                    slots -= 1;
                     continue;
                 }
-                (u.srcs[0], u.srcs[1])
-            };
-            let (Some(a), Some(b)) = (self.src_value(s0), self.src_value(s1)) else {
-                continue;
-            };
-            if self.try_execute(slot, a, b) {
-                slots -= 1;
             }
+            ready[kept] = (seq, slot);
+            kept += 1;
         }
+        ready.truncate(kept);
+        self.ready = ready;
     }
 
     /// Attempts to execute the micro-op in slab slot `slot` with operand
@@ -1479,7 +1585,11 @@ impl Core {
         while s != NIL {
             let e = &self.lsq.entries[s as usize];
             s = self.lsq.next[s as usize];
-            if e.seq >= seq || !e.is_store || e.squashed {
+            if e.seq >= seq {
+                // Program order: the rest is this load and younger.
+                break;
+            }
+            if !e.is_store || e.squashed {
                 continue;
             }
             if !self.paths.visible(e.path, e.seq, path) {
@@ -1539,6 +1649,13 @@ impl Core {
                 self.slab[slot as usize].lsq_slot = ls;
             }
             self.ruu.push_back(slot);
+            self.slab[slot as usize].in_ruu = true;
+            // Producers that completed while this micro-op sat in the
+            // fetch queue found it undispatched; list it here instead.
+            // Dispatch is in seq order, so appending keeps the order.
+            if self.is_ready(slot) {
+                self.ready.push((seq, slot));
+            }
             slots -= 1;
         }
     }
@@ -1574,12 +1691,19 @@ impl Core {
                         let mut consumers = std::mem::take(&mut self.slab[pu].consumers);
                         let slab = &self.slab;
                         consumers.retain(|&(c, si)| {
-                            slab[c as usize].srcs[si as usize] == Src::Pending(e.seq)
+                            slab[c as usize].srcs[si as usize]
+                                == Src::Pending {
+                                    seq: e.seq,
+                                    slot: e.slot,
+                                }
                         });
                         self.slab[pu].consumers = consumers;
                     }
                     self.slab[pu].consumers.push((consumer, i));
-                    Src::Pending(e.seq)
+                    Src::Pending {
+                        seq: e.seq,
+                        slot: e.slot,
+                    }
                 }
                 None => Src::Value(self.regfile[reg.index() as usize]),
             }
@@ -2229,7 +2353,8 @@ fn encode_uop(w: &mut SnapWriter, u: &Uop) {
                 w.u8(1);
                 w.i64(*v);
             }
-            Src::Pending(seq) => {
+            // The slot is derived: decode recovers it from the slab.
+            Src::Pending { seq, .. } => {
                 w.u8(2);
                 w.u64(*seq);
             }
@@ -2338,7 +2463,10 @@ fn decode_uop(r: &mut SnapReader, program: &Program, ras: &RasUnit) -> Result<Uo
         *s = match r.u8()? {
             0 => Src::None,
             1 => Src::Value(r.i64()?),
-            2 => Src::Pending(r.u64()?),
+            2 => Src::Pending {
+                seq: r.u64()?,
+                slot: NIL,
+            },
             _ => return Err(SnapError::Corrupt("unknown operand kind")),
         };
     }
@@ -2395,6 +2523,7 @@ fn decode_uop(r: &mut SnapReader, program: &Program, ras: &RasUnit) -> Result<Uo
         store_value,
         squashed,
         resolved,
+        in_ruu: false,
         consumers,
         lsq_slot,
         pop_flags,
@@ -2963,7 +3092,39 @@ impl Core {
             self.ruu.push_back(slot);
         }
         self.lsq = decode_lsq(r, self.config.lsq_size)?;
+        self.rebuild_derived();
         Ok(())
+    }
+
+    /// Rebuilds the state a snapshot leaves out: operand producer slots,
+    /// RUU membership and the ready list. Seqs are unique per core and a
+    /// freed slot keeps its seq until reuse, so a pending operand's
+    /// producer is the one slab entry carrying that seq; one no longer in
+    /// the slab keeps [`NIL`] and reads as a departed producer.
+    fn rebuild_derived(&mut self) {
+        for c in 0..self.slab.len() {
+            for i in 0..2 {
+                if let Src::Pending { seq, .. } = self.slab[c].srcs[i] {
+                    let slot = self
+                        .slab
+                        .iter()
+                        .position(|p| p.seq == seq)
+                        .map_or(NIL, |p| p as u32);
+                    self.slab[c].srcs[i] = Src::Pending { seq, slot };
+                }
+            }
+        }
+        for i in 0..self.ruu.len() {
+            let slot = self.ruu[i];
+            self.slab[slot as usize].in_ruu = true;
+        }
+        self.ready.clear();
+        for i in 0..self.ruu.len() {
+            let slot = self.ruu[i];
+            if self.is_ready(slot) {
+                self.list_ready(self.slab[slot as usize].seq, slot);
+            }
+        }
     }
 
     fn encode_stats_section(&self, w: &mut SnapWriter) {
@@ -3934,5 +4095,76 @@ mod occupancy_tests {
         assert_eq!(core.occupancy().ruu.total(), 0);
         core.run(1_000);
         assert!(core.occupancy().ruu.total() > 0);
+    }
+}
+
+#[cfg(test)]
+mod ready_list_tests {
+    use super::*;
+    use hydra_workloads::{Workload, WorkloadSpec};
+
+    /// The derived state a resume must rebuild: the ready list, RUU
+    /// membership, and every pending operand's producer slot.
+    fn assert_derived_state_matches(donor: &Core, resumed: &Core, at: u64) {
+        assert_eq!(
+            donor.ready, resumed.ready,
+            "ready list differs at cycle {at}"
+        );
+        for (slot, (d, r)) in donor.slab.iter().zip(&resumed.slab).enumerate() {
+            assert_eq!(
+                d.in_ruu, r.in_ruu,
+                "RUU membership of slot {slot} at cycle {at}"
+            );
+            if d.in_ruu && !d.squashed {
+                assert_eq!(d.srcs, r.srcs, "operands of slot {slot} at cycle {at}");
+            }
+        }
+    }
+
+    /// Resumes a copy of `donor` and checks the rebuilt derived state,
+    /// then steps both in lockstep to check it keeps tracking.
+    fn check_split(donor: &mut Core, program: &Program) {
+        let at = donor.cycle();
+        let mut resumed = Core::resume(&donor.save_snapshot(), program).expect("resumes");
+        assert_derived_state_matches(donor, &resumed, at);
+        for _ in 0..50 {
+            donor.step();
+            resumed.step();
+            assert_eq!(
+                donor.ready, resumed.ready,
+                "ready lists diverge after cycle {at}"
+            );
+        }
+    }
+
+    #[test]
+    fn resume_rebuilds_the_ready_list_mid_flight() {
+        let w = Workload::generate(&WorkloadSpec::by_name("gcc").expect("known"), 12345)
+            .expect("generates");
+        let configs = [
+            CoreConfig::baseline(),
+            CoreConfig::multipath(4, MultipathStackPolicy::PerPath),
+        ];
+        let mut nonempty = 0;
+        for config in configs {
+            let mut donor = Core::new(config, w.program());
+            for mark in [1_013u64, 2_999, 7_001, 12_345, 20_011] {
+                while donor.cycle() < mark {
+                    donor.step();
+                }
+                check_split(&mut donor, w.program());
+                // The ready list is usually empty between cycles (issue
+                // drains it), so also split where work is left waiting.
+                let limit = donor.cycle() + 1_000;
+                while donor.ready.is_empty() && donor.cycle() < limit {
+                    donor.step();
+                }
+                if !donor.ready.is_empty() {
+                    nonempty += 1;
+                }
+                check_split(&mut donor, w.program());
+            }
+        }
+        assert!(nonempty > 0, "no split point had a non-empty ready list");
     }
 }

@@ -31,8 +31,16 @@ pub(crate) enum Src {
     /// Value known at dispatch (architectural, immediate-like, or an
     /// already-completed producer).
     Value(i64),
-    /// Waiting on the in-flight producer with this sequence number.
-    Pending(u64),
+    /// Waiting on the in-flight producer with sequence number `seq`,
+    /// which lives in slab slot `slot` (so reading the operand needs no
+    /// search). Only `seq` is serialized; a snapshot decode recovers
+    /// `slot` from the slab.
+    Pending {
+        /// The producer's sequence number.
+        seq: u64,
+        /// The producer's slab slot.
+        slot: u32,
+    },
 }
 
 /// One in-flight micro-op: an instruction plus everything the pipeline
@@ -83,12 +91,18 @@ pub(crate) struct Uop {
     pub squashed: bool,
     /// Control resolution already handled (guards double resolution).
     pub resolved: bool,
+    /// Held in the RUU: set at dispatch, cleared when commit (or a
+    /// fetch-queue flush) frees the slot. Derived state, not serialized:
+    /// a snapshot decode sets it for the RUU's slots.
+    pub in_ruu: bool,
     /// Wakeup list: `(consumer slab slot, source index)` pairs registered
-    /// at rename time. When this producer retires, only these entries are
-    /// patched — no window-wide broadcast scan. Entries are validated at
-    /// patch time (`srcs[i] == Pending(seq)`), so stale registrations
-    /// from recycled slots are harmless. The buffer's capacity is kept
-    /// across slot reuse, so steady state allocates nothing.
+    /// at rename time. When this producer completes, these entries are
+    /// the candidates for the ready list; when it retires, they are
+    /// patched to the concrete value — no window-wide broadcast scan
+    /// either time. Entries are validated on use (`srcs[i]` still names
+    /// this producer), so stale registrations from recycled slots are
+    /// harmless. The buffer's capacity is kept across slot reuse, so
+    /// steady state allocates nothing.
     pub consumers: Vec<(u32, u8)>,
     /// This micro-op's LSQ slot ([`NIL`] when it holds none), making
     /// commit- and squash-time LSQ removal O(1) instead of a retain scan.
@@ -126,6 +140,7 @@ impl Uop {
             store_value: None,
             squashed: false,
             resolved: false,
+            in_ruu: false,
             consumers: Vec::new(),
             lsq_slot: NIL,
             pop_flags: 0,

@@ -85,6 +85,54 @@ fn steady_state_cycles_allocate_nothing() {
     );
 }
 
+/// Warms `config` up on gcc for 120k commits, past the late plateau a
+/// wide window reaches, and returns the allocations of the next 90k.
+fn steady_state_allocs(config: CoreConfig) -> u64 {
+    let w = Workload::generate(&WorkloadSpec::by_name("gcc").expect("known"), 12345)
+        .expect("generates");
+    let mut core = Core::new(config, w.program());
+    core.run(120_000);
+    let allocs = allocs_during(|| {
+        core.run(210_000);
+    });
+    assert!(
+        !core.is_halted(),
+        "the program halted before the window ended"
+    );
+    allocs
+}
+
+#[test]
+fn wide_window_steady_state_cycles_allocate_nothing() {
+    // Per-window structures (the ready list, wakeup lists, scratch
+    // vectors) are sized from the RUU, so pin a window twice the
+    // baseline's on an 8-wide machine too.
+    let config = CoreConfig::builder()
+        .ruu_size(128)
+        .fetch_width(8)
+        .dispatch_width(8)
+        .issue_width(8)
+        .commit_width(8)
+        .build();
+    let allocs = steady_state_allocs(config);
+    assert_eq!(
+        allocs, 0,
+        "heap allocations leaked into the wide-window steady-state hot loop"
+    );
+}
+
+#[test]
+fn narrow_window_steady_state_cycles_allocate_nothing() {
+    // An 8-entry RUU under a 4-wide front end: the window is full most
+    // of the time, so every per-window bound is hit.
+    let config = CoreConfig::builder().ruu_size(8).build();
+    let allocs = steady_state_allocs(config);
+    assert_eq!(
+        allocs, 0,
+        "heap allocations leaked into the narrow-window steady-state hot loop"
+    );
+}
+
 #[test]
 fn two_hart_system_steady_state_cycles_allocate_nothing() {
     // The multi-instance surface must not reintroduce allocations: the
