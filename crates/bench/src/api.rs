@@ -4,17 +4,11 @@
 //! CLI: a [`Request`] names an experiment and its [`RunSpec`] sizing, and
 //! [`handle`] plans it, runs the jobs on the engine, and harvests a
 //! [`Response`] — the same document `expt --out` writes and `goldens/`
-//! commits. Both types round-trip through [`hydra_stats::Json`], so the
-//! pair works equally as an in-process API and as the wire format of the
-//! `hydra-serve` HTTP server (`expt serve`).
+//! commits. Both types round-trip through [`hydra_stats::Json`].
 //!
-//! Because a response is a **pure function of the request** (the
-//! simulator is deterministic and the engine merges job outputs in plan
-//! order), requests are content-addressable: [`Request::cache_key`]
-//! hashes the *canonical* form of the typed fields — object-member order
-//! and number spelling in the client's JSON do not matter, while any
-//! change to the experiment name or run sizing changes the key. That is
-//! the invariant the serve-layer result cache is built on.
+//! A response is a **pure function of the request**: the simulator is
+//! deterministic and the engine merges job outputs in plan order, so the
+//! document does not depend on the worker count.
 //!
 //! ```
 //! use hydra_bench::api::{handle, Request};
@@ -28,14 +22,14 @@
 //! # }
 //! ```
 
-use hydra_stats::{content_hash, Json};
+use hydra_stats::Json;
 
 use crate::experiments::lookup;
 use crate::results::SCHEMA_VERSION;
 use crate::{run_experiment, RunSpec};
 
 /// A request for one experiment at one sizing: the unit of work the
-/// programmatic API (and the serve layer) accepts.
+/// programmatic API accepts.
 ///
 /// The wire form is a schema-versioned JSON object:
 ///
@@ -47,9 +41,7 @@ use crate::{run_experiment, RunSpec};
 /// }
 /// ```
 ///
-/// Unknown top-level members are tolerated on parse (transport layers
-/// attach hints like `timeout_ms`) but never reach the typed value, so
-/// they cannot perturb [`Request::cache_key`].
+/// Unknown top-level members are tolerated on parse and dropped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Registry name of the experiment to run.
@@ -97,7 +89,7 @@ impl Request {
         })
     }
 
-    /// Parses a request from JSON text (the HTTP request-body path).
+    /// Parses a request from JSON text.
     ///
     /// # Errors
     ///
@@ -106,19 +98,6 @@ impl Request {
     pub fn parse(text: &str) -> Result<Self, ApiError> {
         let doc = Json::parse(text).map_err(|e| ApiError::Parse(e.to_string()))?;
         Request::from_json(&doc)
-    }
-
-    /// The content address of this request: SHA-256 (lowercase hex) of
-    /// the canonical form of the typed fields.
-    ///
-    /// Two wire documents that parse to the same request always produce
-    /// the same key — member order and number spelling are erased by
-    /// [`hydra_stats::canonical`] — and any differing field value
-    /// (experiment, seed, fast-forward, horizon) produces a different
-    /// key. Responses are pure functions of the request, so this key is
-    /// sound as a result-cache address.
-    pub fn cache_key(&self) -> String {
-        content_hash(&self.to_json())
     }
 }
 
@@ -177,8 +156,7 @@ impl Response {
 /// Runs one request fully in-process on `workers` engine threads:
 /// look up the experiment, `plan`, execute, `harvest`, wrap.
 ///
-/// The response is independent of `workers` (deterministic merge), which
-/// is what makes cached and freshly-computed responses byte-identical.
+/// The response is independent of `workers` (deterministic merge).
 ///
 /// # Errors
 ///
@@ -194,20 +172,6 @@ pub fn handle(request: &Request, workers: usize) -> Result<Response, ApiError> {
         run: request.run,
         table: run.table.to_json(),
     })
-}
-
-/// The number of engine jobs a request would run, without running any:
-/// `plan()` is cheap by design. The serve layer uses this for
-/// per-request job budgets.
-///
-/// # Errors
-///
-/// [`ApiError::UnknownExperiment`] when the request names no registered
-/// experiment.
-pub fn job_count(request: &Request) -> Result<usize, ApiError> {
-    let experiment = lookup(&request.experiment)
-        .map_err(|_| ApiError::UnknownExperiment(request.experiment.clone()))?;
-    Ok(experiment.plan(&request.run).len())
 }
 
 fn run_to_json(rs: &RunSpec) -> Json {
@@ -323,46 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_key_is_field_order_and_spelling_insensitive() {
-        // Two permutations of the same request, one with a float-spelled
-        // seed: identical keys.
-        let a = Request::parse(
-            r#"{"schema_version":1,"experiment":"fig-repair",
-                "run":{"seed":7,"fast_forward":200,"horizon":2000}}"#,
-        )
-        .unwrap();
-        let b = Request::parse(
-            r#"{"run":{"horizon":2000,"seed":7.0,"fast_forward":200},
-                "experiment":"fig-repair","schema_version":1}"#,
-        )
-        .unwrap();
-        assert_eq!(a.cache_key(), b.cache_key());
-
-        // A differing seed is a different address.
-        let c = Request::parse(
-            r#"{"schema_version":1,"experiment":"fig-repair",
-                "run":{"seed":8,"fast_forward":200,"horizon":2000}}"#,
-        )
-        .unwrap();
-        assert_ne!(a.cache_key(), c.cache_key());
-    }
-
-    #[test]
-    fn cache_key_ignores_unknown_transport_members() {
-        let plain = Request::parse(
-            r#"{"schema_version":1,"experiment":"table1",
-                "run":{"seed":1,"fast_forward":0,"horizon":0}}"#,
-        )
-        .unwrap();
-        let hinted = Request::parse(
-            r#"{"schema_version":1,"experiment":"table1","timeout_ms":250,
-                "run":{"seed":1,"fast_forward":0,"horizon":0}}"#,
-        )
-        .unwrap();
-        assert_eq!(plain.cache_key(), hinted.cache_key());
-    }
-
-    #[test]
     fn parse_rejects_malformed_requests() {
         assert!(matches!(Request::parse("{"), Err(ApiError::Parse(_))));
         assert!(matches!(
@@ -413,15 +337,5 @@ mod tests {
         let one = handle(&req, 1).unwrap().to_json().pretty();
         let four = handle(&req, 4).unwrap().to_json().pretty();
         assert_eq!(one, four, "response bytes must not depend on workers");
-    }
-
-    #[test]
-    fn job_count_matches_plan() {
-        assert_eq!(job_count(&Request::new("table1", tiny())), Ok(0));
-        assert_eq!(job_count(&Request::new("table2", tiny())), Ok(16));
-        assert!(matches!(
-            job_count(&Request::new("nope", tiny())),
-            Err(ApiError::UnknownExperiment(_))
-        ));
     }
 }

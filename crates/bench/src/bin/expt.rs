@@ -10,6 +10,9 @@
 //! expt all --out results/          per-experiment JSON + BENCH_expt.json
 //! expt --check-golden              diff quick-mode runs against goldens/
 //! expt --check-golden table4 --goldens goldens
+//! expt run --workload li --repair none --ras-entries 8
+//!                                  one workload on one machine
+//! expt run --workload vortex --multipath 2 --format json
 //! expt perf                        pinned-suite MIPS + allocation rates
 //! expt perf --out results/         ... and write BENCH_perf.json
 //! expt perf --baseline goldens/perf_baseline.json   fail on >30% MIPS loss
@@ -19,8 +22,6 @@
 //! expt fuzz --replay repro.json    re-run a minimized divergence repro
 //! expt sweep --depths 4,8,16,32    warm-start lattice sweep (one fast-forward
 //!                                  snapshot per workload, forked per config)
-//! expt serve --addr 127.0.0.1:8091 simulation-as-a-service with result cache
-//! expt storm --addr 127.0.0.1:8091 --min-hit-rate 90   load-test + CI gate
 //! ```
 //!
 //! Results go to **stdout** and are byte-identical for any `--jobs`
@@ -38,9 +39,14 @@
 use hydra_bench::golden::{check, DiffOptions};
 use hydra_bench::results::{sink_for, write_out_dir, Format};
 use hydra_bench::{perf, registry, run_experiment, EngineReport, Error, Experiment, RunSpec};
+use hydra_pipeline::{Core, CoreConfig, MultipathConfig, ReturnPredictor};
+use hydra_stats::Json;
 use hydra_trace::{EventMask, TraceConfig, TraceSession};
+use hydra_workloads::{Workload, WorkloadSpec};
+use ras_core::{MultipathStackPolicy, RepairPolicy};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::Instant;
 
 /// A counting wrapper around the system allocator. The library side
 /// (`hydra_bench::perf`) forbids `unsafe`, so the binary installs the
@@ -85,15 +91,28 @@ const USAGE: &str = "usage: expt --list\n\
        expt <name>... | all  [--jobs N] [--format table|json|csv] [--out DIR]\n\
                              [-v|-q] [--trace FILE] [--trace-filter KINDS] [--profile]\n\
        expt --check-golden [<name>... | all] [--goldens DIR] [--jobs N]\n\
+       expt run [--workload NAME] [--seed S] [--warmup N] [--instructions N] [--golden]\n\
+                [--return-predictor ras|self-ckpt|btb|perfect] [--ras-entries N]\n\
+                [--repair none|valid-bits|tos-pointer|tos-pointer-contents|top-K|full]\n\
+                [--budget N] [--multipath N] [--stack unified|unified-ckpt|per-path]\n\
+                [--format table|json] [--trace FILE] [--trace-filter KINDS]\n\
        expt perf [--out DIR] [--baseline FILE]\n\
        expt report --out DIR\n\
        expt fuzz [--cases N] [--seed S] [--replay FILE] [--out DIR]\n\
        expt sweep [--depths N,N,...] [--jobs N] [--format table|json|csv] [--out DIR]\n\
-       expt serve [--addr HOST:PORT] [--jobs N] [--http-threads N] [--sim-workers N]\n\
-                  [--queue-depth N] [--cache-capacity N] [--job-budget N] [--timeout-ms MS]\n\
-       expt storm [<name>...] [--addr HOST:PORT] [--requests N] [--concurrency N]\n\
-                  [--distinct N] [--seed S] [--min-hit-rate PCT] [--out DIR]\n\
        expt --validate-trace FILE";
+
+/// The subcommand words; any other bare word names an experiment.
+const COMMANDS: [&str; 5] = ["run", "perf", "report", "fuzz", "sweep"];
+
+/// `--return-predictor` kinds. A stack's size and repair come from
+/// `--ras-entries` and `--repair`, which may follow on the command line,
+/// so the predictor is built only once parsing is done.
+const PREDICTORS: [&str; 4] = ["ras", "self-ckpt", "btb", "perfect"];
+
+/// `--seed`'s default under `expt fuzz`; `expt run` defaults to the
+/// workload seed of [`RunSpec::full`].
+const FUZZ_SEED: u64 = 0xC0FFEE;
 
 fn main() -> ExitCode {
     match run(std::env::args().skip(1).collect()) {
@@ -110,19 +129,16 @@ fn main() -> ExitCode {
 
 struct Cli {
     list: bool,
+    command: Option<&'static str>,
     jobs: Option<usize>,
     format: Format,
     out: Option<PathBuf>,
     check_golden: bool,
     goldens: PathBuf,
-    perf: bool,
-    report: bool,
     baseline: Option<PathBuf>,
-    fuzz: bool,
-    sweep: bool,
     depths: Option<Vec<usize>>,
     cases: u64,
-    fuzz_seed: u64,
+    seed: Option<u64>,
     replay: Option<PathBuf>,
     names: Vec<String>,
     quiet: bool,
@@ -131,38 +147,85 @@ struct Cli {
     trace_filter: EventMask,
     profile: bool,
     validate_trace: Option<PathBuf>,
-    serve: bool,
-    storm: bool,
-    addr: String,
-    http_threads: usize,
-    sim_workers: usize,
-    queue_depth: usize,
-    cache_capacity: usize,
-    job_budget: u64,
-    timeout_ms: u64,
-    requests: u64,
-    concurrency: usize,
-    distinct: u64,
-    min_hit_rate: Option<f64>,
+    machine: Machine,
+}
+
+/// `expt run`'s workload, run length and machine. The defaults are the
+/// paper's baseline: gcc on a 32-entry stack with TOS-pointer+contents
+/// repair, over the full-size fast-forward and horizon of
+/// [`RunSpec::full`].
+struct Machine {
+    workload: String,
+    warmup: u64,
+    instructions: u64,
+    predictor: &'static str,
+    repair: RepairPolicy,
+    ras_entries: usize,
+    budget: Option<usize>,
+    multipath: Option<usize>,
+    stack: MultipathStackPolicy,
+    golden: bool,
+}
+
+impl Default for Machine {
+    fn default() -> Self {
+        Machine {
+            workload: "gcc".to_string(),
+            warmup: RunSpec::full().fast_forward,
+            instructions: RunSpec::full().horizon,
+            predictor: "ras",
+            repair: RepairPolicy::TosPointerAndContents,
+            ras_entries: 32,
+            budget: None,
+            multipath: None,
+            stack: MultipathStackPolicy::PerPath,
+            golden: false,
+        }
+    }
+}
+
+impl Machine {
+    /// The core configuration, checked: a zero-entry stack or a
+    /// one-path multipath machine is an error, not a panic.
+    fn config(&self) -> Result<CoreConfig, Error> {
+        let return_predictor = match self.predictor {
+            "ras" => ReturnPredictor::Ras {
+                entries: self.ras_entries,
+                repair: self.repair,
+            },
+            "self-ckpt" => ReturnPredictor::SelfCheckpointing {
+                entries: self.ras_entries,
+            },
+            "btb" => ReturnPredictor::BtbOnly,
+            "perfect" => ReturnPredictor::Perfect,
+            other => unreachable!("parse admits only PREDICTORS, not {other:?}"),
+        };
+        let multipath = self.multipath.map(|max_paths| MultipathConfig {
+            max_paths,
+            stack_policy: self.stack,
+        });
+        CoreConfig::builder()
+            .return_predictor(return_predictor)
+            .checkpoint_budget(self.budget)
+            .multipath(multipath)
+            .try_build()
+            .map_err(|e| Error::Usage(format!("run: {e}")))
+    }
 }
 
 fn parse(args: &[String]) -> Result<Cli, Error> {
-    let usage = |msg: &str| Error::Usage(msg.to_string());
     let mut cli = Cli {
         list: false,
+        command: None,
         jobs: None,
         format: Format::Table,
         out: None,
         check_golden: false,
         goldens: PathBuf::from("goldens"),
-        perf: false,
-        report: false,
         baseline: None,
-        fuzz: false,
-        sweep: false,
         depths: None,
         cases: 200,
-        fuzz_seed: 0xC0FFEE,
+        seed: None,
         replay: None,
         names: Vec::new(),
         quiet: false,
@@ -171,231 +234,89 @@ fn parse(args: &[String]) -> Result<Cli, Error> {
         trace_filter: EventMask::all(),
         profile: false,
         validate_trace: None,
-        serve: false,
-        storm: false,
-        addr: "127.0.0.1:8091".to_string(),
-        http_threads: 4,
-        sim_workers: 2,
-        queue_depth: 32,
-        cache_capacity: 1024,
-        job_budget: 0,
-        timeout_ms: 0,
-        requests: 200,
-        concurrency: 8,
-        distinct: 8,
-        min_hit_rate: None,
+        machine: Machine::default(),
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
+        // `--flag=value` means `--flag value`.
+        let (flag, mut inline) = match arg.split_once('=') {
+            Some((flag, v)) if flag.starts_with("--") => (flag, Some(v.to_string())),
+            _ => (arg.as_str(), None),
+        };
+        let mut value = |what: &str| {
+            inline
+                .take()
+                .or_else(|| it.next().cloned())
+                .ok_or_else(|| Error::Usage(format!("{flag} needs {what}")))
+        };
+        match flag {
             "--list" | "-l" => cli.list = true,
+            "--help" | "-h" => cli.list = true, // --help shows the list too
             "--quiet" | "-q" => cli.quiet = true,
             "--verbose" | "-v" => cli.verbose = true,
             "--profile" => cli.profile = true,
-            "--trace" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| usage("--trace needs an output file"))?;
-                cli.trace = Some(PathBuf::from(v));
-            }
-            "--trace-filter" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| usage("--trace-filter needs event kinds"))?;
-                cli.trace_filter = EventMask::parse(v).map_err(Error::Usage)?;
-            }
-            a if a.starts_with("--trace-filter=") => {
-                cli.trace_filter =
-                    EventMask::parse(&a["--trace-filter=".len()..]).map_err(Error::Usage)?;
-            }
-            a if a.starts_with("--trace=") => {
-                cli.trace = Some(PathBuf::from(&a["--trace=".len()..]));
-            }
-            "--validate-trace" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| usage("--validate-trace needs a file"))?;
-                cli.validate_trace = Some(PathBuf::from(v));
-            }
-            a if a.starts_with("--validate-trace=") => {
-                cli.validate_trace = Some(PathBuf::from(&a["--validate-trace=".len()..]));
-            }
-            "--jobs" | "-j" => {
-                let v = it.next().ok_or_else(|| usage("--jobs needs a value"))?;
-                cli.jobs = Some(parse_jobs(v)?);
-            }
-            a if a.starts_with("--jobs=") => {
-                cli.jobs = Some(parse_jobs(&a["--jobs=".len()..])?);
-            }
-            "--format" | "-f" => {
-                let v = it.next().ok_or_else(|| usage("--format needs a value"))?;
-                cli.format = v.parse().map_err(Error::Usage)?;
-            }
-            a if a.starts_with("--format=") => {
-                cli.format = a["--format=".len()..].parse().map_err(Error::Usage)?;
-            }
-            "--out" | "-o" => {
-                let v = it.next().ok_or_else(|| usage("--out needs a directory"))?;
-                cli.out = Some(PathBuf::from(v));
-            }
-            a if a.starts_with("--out=") => {
-                cli.out = Some(PathBuf::from(&a["--out=".len()..]));
-            }
             "--check-golden" => cli.check_golden = true,
-            "--goldens" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| usage("--goldens needs a directory"))?;
-                cli.goldens = PathBuf::from(v);
+            "--golden" => cli.machine.golden = true,
+            "--trace" => cli.trace = Some(PathBuf::from(value("an output file")?)),
+            "--trace-filter" => {
+                cli.trace_filter =
+                    EventMask::parse(&value("event kinds")?).map_err(Error::Usage)?;
             }
-            a if a.starts_with("--goldens=") => {
-                cli.goldens = PathBuf::from(&a["--goldens=".len()..]);
+            "--validate-trace" => cli.validate_trace = Some(PathBuf::from(value("a file")?)),
+            "--jobs" | "-j" => cli.jobs = Some(parse_count("--jobs", &value("a value")?)?),
+            "--format" | "-f" => cli.format = value("a value")?.parse().map_err(Error::Usage)?,
+            "--out" | "-o" => cli.out = Some(PathBuf::from(value("a directory")?)),
+            "--goldens" => cli.goldens = PathBuf::from(value("a directory")?),
+            "--baseline" => cli.baseline = Some(PathBuf::from(value("a file")?)),
+            "--cases" => cli.cases = parse_u64(flag, &value("a value")?)?,
+            "--seed" => cli.seed = Some(parse_u64(flag, &value("a value")?)?),
+            "--depths" => cli.depths = Some(parse_depths(&value("a comma-separated list")?)?),
+            "--replay" => cli.replay = Some(PathBuf::from(value("a file")?)),
+            "--workload" => cli.machine.workload = value("a workload name")?,
+            "--warmup" => cli.machine.warmup = parse_u64(flag, &value("a value")?)?,
+            "--instructions" => cli.machine.instructions = parse_u64(flag, &value("a value")?)?,
+            "--return-predictor" => {
+                let kind = value("a kind")?;
+                cli.machine.predictor = PREDICTORS
+                    .into_iter()
+                    .find(|k| *k == kind)
+                    .ok_or_else(|| Error::Usage(format!("unknown return predictor {kind:?}")))?;
             }
-            "--baseline" => {
-                let v = it.next().ok_or_else(|| usage("--baseline needs a file"))?;
-                cli.baseline = Some(PathBuf::from(v));
-            }
-            a if a.starts_with("--baseline=") => {
-                cli.baseline = Some(PathBuf::from(&a["--baseline=".len()..]));
-            }
-            "--cases" => {
-                let v = it.next().ok_or_else(|| usage("--cases needs a value"))?;
-                cli.cases = parse_u64("--cases", v)?;
-            }
-            a if a.starts_with("--cases=") => {
-                cli.cases = parse_u64("--cases", &a["--cases=".len()..])?;
-            }
-            "--seed" => {
-                let v = it.next().ok_or_else(|| usage("--seed needs a value"))?;
-                cli.fuzz_seed = parse_u64("--seed", v)?;
-            }
-            a if a.starts_with("--seed=") => {
-                cli.fuzz_seed = parse_u64("--seed", &a["--seed=".len()..])?;
-            }
-            "--depths" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| usage("--depths needs a comma-separated list"))?;
-                cli.depths = Some(parse_depths(v)?);
-            }
-            a if a.starts_with("--depths=") => {
-                cli.depths = Some(parse_depths(&a["--depths=".len()..])?);
-            }
-            "--replay" => {
-                let v = it.next().ok_or_else(|| usage("--replay needs a file"))?;
-                cli.replay = Some(PathBuf::from(v));
-            }
-            a if a.starts_with("--replay=") => {
-                cli.replay = Some(PathBuf::from(&a["--replay=".len()..]));
-            }
-            "--addr" => {
-                let v = it.next().ok_or_else(|| usage("--addr needs host:port"))?;
-                cli.addr = v.clone();
-            }
-            a if a.starts_with("--addr=") => {
-                cli.addr = a["--addr=".len()..].to_string();
-            }
-            "--http-threads" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| usage("--http-threads needs a value"))?;
-                cli.http_threads = parse_count("--http-threads", v)?;
-            }
-            a if a.starts_with("--http-threads=") => {
-                cli.http_threads = parse_count("--http-threads", &a["--http-threads=".len()..])?;
-            }
-            "--sim-workers" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| usage("--sim-workers needs a value"))?;
-                cli.sim_workers = parse_count("--sim-workers", v)?;
-            }
-            a if a.starts_with("--sim-workers=") => {
-                cli.sim_workers = parse_count("--sim-workers", &a["--sim-workers=".len()..])?;
-            }
-            "--queue-depth" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| usage("--queue-depth needs a value"))?;
-                cli.queue_depth = parse_count("--queue-depth", v)?;
-            }
-            a if a.starts_with("--queue-depth=") => {
-                cli.queue_depth = parse_count("--queue-depth", &a["--queue-depth=".len()..])?;
-            }
-            "--cache-capacity" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| usage("--cache-capacity needs a value"))?;
-                cli.cache_capacity = parse_count("--cache-capacity", v)?;
-            }
-            a if a.starts_with("--cache-capacity=") => {
-                cli.cache_capacity =
-                    parse_count("--cache-capacity", &a["--cache-capacity=".len()..])?;
-            }
-            "--job-budget" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| usage("--job-budget needs a value"))?;
-                cli.job_budget = parse_u64("--job-budget", v)?;
-            }
-            a if a.starts_with("--job-budget=") => {
-                cli.job_budget = parse_u64("--job-budget", &a["--job-budget=".len()..])?;
-            }
-            "--timeout-ms" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| usage("--timeout-ms needs a value"))?;
-                cli.timeout_ms = parse_u64("--timeout-ms", v)?;
-            }
-            a if a.starts_with("--timeout-ms=") => {
-                cli.timeout_ms = parse_u64("--timeout-ms", &a["--timeout-ms=".len()..])?;
-            }
-            "--requests" => {
-                let v = it.next().ok_or_else(|| usage("--requests needs a value"))?;
-                cli.requests = parse_u64("--requests", v)?;
-            }
-            a if a.starts_with("--requests=") => {
-                cli.requests = parse_u64("--requests", &a["--requests=".len()..])?;
-            }
-            "--concurrency" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| usage("--concurrency needs a value"))?;
-                cli.concurrency = parse_count("--concurrency", v)?;
-            }
-            a if a.starts_with("--concurrency=") => {
-                cli.concurrency = parse_count("--concurrency", &a["--concurrency=".len()..])?;
-            }
-            "--distinct" => {
-                let v = it.next().ok_or_else(|| usage("--distinct needs a value"))?;
-                cli.distinct = parse_u64("--distinct", v)?;
-            }
-            a if a.starts_with("--distinct=") => {
-                cli.distinct = parse_u64("--distinct", &a["--distinct=".len()..])?;
-            }
-            "--min-hit-rate" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| usage("--min-hit-rate needs a percentage"))?;
-                cli.min_hit_rate = Some(parse_percent("--min-hit-rate", v)?);
-            }
-            a if a.starts_with("--min-hit-rate=") => {
-                cli.min_hit_rate = Some(parse_percent(
-                    "--min-hit-rate",
-                    &a["--min-hit-rate=".len()..],
-                )?);
-            }
-            "--help" | "-h" => {
-                cli.list = true; // --help shows the list too
+            "--repair" => cli.machine.repair = parse_repair(&value("a policy")?)?,
+            "--ras-entries" => cli.machine.ras_entries = parse_usize(flag, &value("a value")?)?,
+            "--budget" => cli.machine.budget = Some(parse_usize(flag, &value("a value")?)?),
+            "--multipath" => cli.machine.multipath = Some(parse_usize(flag, &value("a value")?)?),
+            "--stack" => {
+                cli.machine.stack = match value("an organization")?.as_str() {
+                    "unified" => MultipathStackPolicy::Unified {
+                        repair: RepairPolicy::None,
+                    },
+                    "unified-ckpt" => MultipathStackPolicy::Unified {
+                        repair: RepairPolicy::TosPointerAndContents,
+                    },
+                    "per-path" => MultipathStackPolicy::PerPath,
+                    other => {
+                        return Err(Error::Usage(format!(
+                            "unknown stack organization {other:?}"
+                        )))
+                    }
+                }
             }
             a if a.starts_with('-') => return Err(Error::Usage(format!("unknown flag {a:?}"))),
-            "perf" => cli.perf = true,
-            "report" => cli.report = true,
-            "fuzz" => cli.fuzz = true,
-            "sweep" => cli.sweep = true,
-            "serve" => cli.serve = true,
-            "storm" => cli.storm = true,
-            name => cli.names.push(name.to_string()),
+            word => match COMMANDS.into_iter().find(|c| *c == word) {
+                Some(command) => {
+                    if let Some(first) = cli.command {
+                        return Err(Error::Usage(format!(
+                            "'{first}' cannot be combined with '{command}'"
+                        )));
+                    }
+                    cli.command = Some(command);
+                }
+                None => cli.names.push(word.to_string()),
+            },
+        }
+        if inline.is_some() {
+            return Err(Error::Usage(format!("{flag} takes no value")));
         }
     }
     Ok(cli)
@@ -411,16 +332,15 @@ fn parse_u64(flag: &str, v: &str) -> Result<u64, Error> {
     parsed.map_err(|e| Error::Usage(format!("{flag}: cannot parse {v:?}: {e}")))
 }
 
-fn parse_jobs(v: &str) -> Result<usize, Error> {
-    parse_count("--jobs", v)
+fn parse_usize(flag: &str, v: &str) -> Result<usize, Error> {
+    v.parse()
+        .map_err(|e| Error::Usage(format!("{flag}: cannot parse {v:?}: {e}")))
 }
 
 /// Parses a `usize` flag value that must be at least 1 (thread counts,
-/// queue depths, capacities).
+/// stack depths).
 fn parse_count(flag: &str, v: &str) -> Result<usize, Error> {
-    let n: usize = v
-        .parse()
-        .map_err(|e| Error::Usage(format!("{flag}: cannot parse {v:?}: {e}")))?;
+    let n = parse_usize(flag, v)?;
     if n == 0 {
         return Err(Error::Usage(format!("{flag} must be at least 1")));
     }
@@ -435,17 +355,20 @@ fn parse_depths(v: &str) -> Result<Vec<usize>, Error> {
         .collect()
 }
 
-/// Parses a percentage in `[0, 100]` into a fraction.
-fn parse_percent(flag: &str, v: &str) -> Result<f64, Error> {
-    let pct: f64 = v
-        .parse()
-        .map_err(|e| Error::Usage(format!("{flag}: cannot parse {v:?}: {e}")))?;
-    if !(0.0..=100.0).contains(&pct) {
-        return Err(Error::Usage(format!(
-            "{flag}: {v:?} is not a percentage in [0, 100]"
-        )));
-    }
-    Ok(pct / 100.0)
+/// Parses a `--repair` policy name; `top-K` checkpoints the top K
+/// entries.
+fn parse_repair(v: &str) -> Result<RepairPolicy, Error> {
+    Ok(match v {
+        "none" => RepairPolicy::None,
+        "valid-bits" => RepairPolicy::ValidBits,
+        "tos-pointer" => RepairPolicy::TosPointer,
+        "tos-pointer-contents" => RepairPolicy::TosPointerAndContents,
+        "full" => RepairPolicy::FullStack,
+        other => match other.strip_prefix("top-").map(str::parse) {
+            Some(Ok(k)) => RepairPolicy::TopContents { k },
+            _ => return Err(Error::Usage(format!("unknown repair policy {other:?}"))),
+        },
+    })
 }
 
 /// Resolves the experiment names on the command line (`all`, or empty in
@@ -485,95 +408,36 @@ fn run(args: Vec<String>) -> Result<ExitCode, Error> {
     }
 
     if cli.list {
-        println!("{USAGE}");
-        println!();
-        println!("experiments:");
-        for e in registry() {
-            println!("  {:<16} {}", e.name(), e.title());
-        }
-        println!("  {:<16} every experiment above, in order", "all");
-        println!("  {:<16} pinned-suite simulator throughput", "perf");
-        println!(
-            "  {:<16} HTML dashboard from an --out result directory",
-            "report"
-        );
-        println!(
-            "  {:<16} differential fuzz: pipeline vs reference models",
-            "fuzz"
-        );
-        println!(
-            "  {:<16} warm-start RAS depth x repair lattice (snapshot-forked)",
-            "sweep"
-        );
-        println!(
-            "  {:<16} HTTP server with a content-addressed result cache",
-            "serve"
-        );
-        println!(
-            "  {:<16} load generator against a running `expt serve`",
-            "storm"
-        );
+        print_list();
         return Ok(ExitCode::SUCCESS);
     }
 
-    if cli.serve {
+    if let Some(command) = cli.command {
         if !cli.names.is_empty() {
-            return Err(Error::Usage(
-                "'serve' cannot be combined with experiment names".into(),
-            ));
+            return Err(Error::Usage(format!(
+                "'{command}' cannot be combined with experiment names"
+            )));
         }
-        return run_serve(&cli);
     }
-
-    if cli.storm {
-        return run_storm(&cli);
-    }
-
-    if cli.perf {
-        if !cli.names.is_empty() {
-            return Err(Error::Usage(
-                "'perf' cannot be combined with experiment names".into(),
-            ));
-        }
-        return run_perf(&cli);
-    }
-
-    if cli.fuzz {
-        if !cli.names.is_empty() {
-            return Err(Error::Usage(
-                "'fuzz' cannot be combined with experiment names".into(),
-            ));
-        }
-        return run_fuzz(&cli);
-    }
-
-    if cli.report {
-        if !cli.names.is_empty() {
-            return Err(Error::Usage(
-                "'report' cannot be combined with experiment names".into(),
-            ));
-        }
-        let dir = cli.out.as_deref().ok_or_else(|| {
-            Error::Usage("'report' needs --out DIR pointing at result documents".into())
-        })?;
-        let path = hydra_bench::write_report(dir)?;
-        println!("wrote {}", path.display());
-        return Ok(ExitCode::SUCCESS);
-    }
-
     let workers = cli.jobs.unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
     });
-
-    if cli.sweep {
-        if !cli.names.is_empty() {
-            return Err(Error::Usage(
-                "'sweep' cannot be combined with experiment names".into(),
-            ));
+    match cli.command {
+        Some("run") => return run_single(&cli),
+        Some("perf") => return run_perf(&cli),
+        Some("fuzz") => return run_fuzz(&cli),
+        Some("sweep") => return run_sweep(&cli, workers),
+        Some("report") => {
+            let dir = cli.out.as_deref().ok_or_else(|| {
+                Error::Usage("'report' needs --out DIR pointing at result documents".into())
+            })?;
+            let path = hydra_bench::write_report(dir)?;
+            println!("wrote {}", path.display());
+            return Ok(ExitCode::SUCCESS);
         }
-        return run_sweep(&cli, workers);
+        _ => {}
     }
 
     if cli.check_golden {
@@ -633,6 +497,143 @@ fn run(args: Vec<String>) -> Result<ExitCode, Error> {
     if cli.profile {
         write_profile(cli.out.as_deref())?;
     }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `--list` (and `--help`): usage, the experiment registry, the
+/// subcommands, and the workloads `expt run` accepts.
+fn print_list() {
+    println!("{USAGE}");
+    println!();
+    println!("experiments:");
+    for e in registry() {
+        println!("  {:<16} {}", e.name(), e.title());
+    }
+    println!("  {:<16} every experiment above, in order", "all");
+    for (command, what) in [
+        ("run", "one workload on one machine configuration"),
+        ("perf", "pinned-suite simulator throughput"),
+        ("report", "HTML dashboard from an --out result directory"),
+        ("fuzz", "differential fuzz: pipeline vs reference models"),
+        (
+            "sweep",
+            "warm-start RAS depth x repair lattice (snapshot-forked)",
+        ),
+    ] {
+        println!("  {command:<16} {what}");
+    }
+    println!();
+    println!("workloads (expt run --workload NAME):");
+    for spec in WorkloadSpec::spec95_suite() {
+        println!("  {}", spec.name);
+    }
+    let d = Machine::default();
+    println!();
+    println!(
+        "expt run defaults: --workload {} --seed {} --warmup {} --instructions {}",
+        d.workload,
+        RunSpec::full().seed,
+        d.warmup,
+        d.instructions
+    );
+    println!(
+        "                   --return-predictor {} --repair tos-pointer-contents \
+         --ras-entries {}",
+        d.predictor, d.ras_entries
+    );
+    println!("                   --stack per-path (with --multipath N)");
+}
+
+/// `expt run`: simulates one workload on one machine configuration —
+/// `--warmup` commits, a statistics reset, then `--instructions`
+/// measured commits — and prints the statistics the paper reports, or
+/// with `--format json` a `{workload, seed, stats, wall_ms}` document
+/// (`wall_ms` carries the timing suffix the golden differ skips).
+fn run_single(cli: &Cli) -> Result<ExitCode, Error> {
+    let m = &cli.machine;
+    let json = match cli.format {
+        Format::Table => false,
+        Format::Json => true,
+        Format::Csv => return Err(Error::Usage("'run' prints table or json".into())),
+    };
+    let seed = cli.seed.unwrap_or(RunSpec::full().seed);
+    let spec = WorkloadSpec::by_name(&m.workload)
+        .ok_or_else(|| Error::Usage(format!("unknown workload {:?} (try --list)", m.workload)))?;
+    let workload = Workload::generate(&spec, seed).expect("built-in suite generates");
+    let mut core = Core::new(m.config()?, workload.program());
+    if m.golden {
+        core.enable_golden_check();
+    }
+    let session = start_trace(cli)?;
+    let t0 = Instant::now();
+    core.run(m.warmup);
+    core.reset_stats();
+    let stats = core.run(m.instructions);
+    let elapsed = t0.elapsed();
+    if let Some((session, path)) = session {
+        write_trace(&session.finish(), &path)?;
+    }
+
+    if json {
+        let doc = Json::obj([
+            ("workload", Json::str(&m.workload)),
+            ("seed", Json::int(seed)),
+            ("stats", stats.to_json()),
+            ("wall_ms", Json::num(elapsed.as_secs_f64() * 1e3)),
+        ]);
+        print!("{}", doc.pretty());
+        return Ok(ExitCode::SUCCESS);
+    }
+
+    println!("workload            : {} (seed {seed})", m.workload);
+    println!("committed           : {}", stats.committed);
+    println!("cycles              : {}", stats.cycles);
+    println!("IPC                 : {:.4}", stats.ipc());
+    println!("branch accuracy     : {}", stats.branch_accuracy());
+    println!(
+        "returns             : {} ({} hits, rate {})",
+        stats.returns,
+        stats.return_hits,
+        stats.return_hit_rate()
+    );
+    println!(
+        "RAS                 : {} pushes, {} pops, {} overflows, {} underflows, {} repairs",
+        stats.ras_pushes,
+        stats.ras_pops,
+        stats.ras_overflows,
+        stats.ras_underflows,
+        stats.ras_restores
+    );
+    if stats.checkpoint_budget_misses > 0 {
+        println!("budget misses       : {}", stats.checkpoint_budget_misses);
+    }
+    if m.multipath.is_some() {
+        println!(
+            "multipath           : {} forks, {} peak live paths",
+            stats.forks, stats.max_live_paths
+        );
+    }
+    println!(
+        "wrong-path activity : {} of {} fetched uops squashed ({})",
+        stats.squashed_uops,
+        stats.fetched_uops,
+        stats.squash_fraction()
+    );
+    let occ = core.occupancy();
+    let config = core.config();
+    println!(
+        "occupancy (mean)    : RUU {:.1}/{}, LSQ {:.1}/{}, fetchq {:.1}/{}",
+        occ.ruu.mean(),
+        config.ruu_size,
+        occ.lsq.mean(),
+        config.lsq_size,
+        occ.fetch_queue.mean(),
+        config.fetch_queue,
+    );
+    println!(
+        "simulation speed    : {:.0} commits/sec",
+        stats.committed as f64 / elapsed.as_secs_f64()
+    );
     Ok(ExitCode::SUCCESS)
 }
 
@@ -706,7 +707,7 @@ fn run_fuzz(cli: &Cli) -> Result<ExitCode, Error> {
     let rs = RunSpec::from_env()?;
     let opts = hydra_check::FuzzOptions {
         cases: cli.cases,
-        seed: cli.fuzz_seed,
+        seed: cli.seed.unwrap_or(FUZZ_SEED),
         quick: rs.horizon <= RunSpec::quick().horizon,
         ..hydra_check::FuzzOptions::default()
     };
@@ -773,90 +774,6 @@ fn run_sweep(cli: &Cli, workers: usize) -> Result<ExitCode, Error> {
         hydra_trace::info!(
             "wrote 1 result document + BENCH_expt.json to {}",
             dir.display()
-        );
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `expt serve`: binds the hydra-serve HTTP server over the experiment
-/// registry and runs until the process is killed. Engine threads per
-/// computation come from `--jobs` (default: available parallelism split
-/// across the `--sim-workers` compute workers).
-fn run_serve(cli: &Cli) -> Result<ExitCode, Error> {
-    let engine_workers = cli.jobs.unwrap_or_else(|| {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        (cores / cli.sim_workers).max(1)
-    });
-    let config = hydra_serve::Config {
-        handler_threads: cli.http_threads,
-        workers: cli.sim_workers,
-        queue_depth: cli.queue_depth,
-        cache_capacity: cli.cache_capacity,
-        job_budget: cli.job_budget,
-        timeout_ms: cli.timeout_ms,
-        ..hydra_serve::Config::default()
-    };
-    let service = std::sync::Arc::new(hydra_bench::ExptService::new(engine_workers));
-    let handle = hydra_serve::serve(&cli.addr, service, config)
-        .map_err(|io| Error::io(format!("binding {}", cli.addr), io))?;
-    // The listening line goes to stdout unbuffered so wrapper scripts
-    // (CI readiness checks) can wait for it.
-    println!("expt serve: listening on http://{}", handle.addr());
-    println!(
-        "expt serve: POST {} | GET /healthz | GET /metrics  \
-         ({} http threads, {} sim workers x {} engine jobs, queue {}, cache {})",
-        hydra_serve::EXPERIMENTS_PATH,
-        cli.http_threads,
-        cli.sim_workers,
-        engine_workers,
-        cli.queue_depth,
-        cli.cache_capacity,
-    );
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    loop {
-        std::thread::park();
-    }
-}
-
-/// `expt storm`: runs the two-phase load generator against a live
-/// server, prints both phase summaries, writes the latency report under
-/// `--out`, and gates on `--min-hit-rate` (hot phase) for CI.
-fn run_storm(cli: &Cli) -> Result<ExitCode, Error> {
-    let mut opts = hydra_bench::StormOptions::new(cli.addr.clone());
-    opts.concurrency = cli.concurrency;
-    opts.requests = cli.requests;
-    opts.distinct = cli.distinct;
-    opts.seed = cli.fuzz_seed;
-    if !cli.names.is_empty() {
-        for name in &cli.names {
-            hydra_bench::lookup(name)?; // fail fast, before load starts
-        }
-        opts.experiments = cli.names.clone();
-    }
-
-    let report = hydra_bench::storm(&opts)?;
-    println!("{}", report.cold.summary());
-    println!("{}", report.hot.summary());
-    if let Some(dir) = &cli.out {
-        std::fs::create_dir_all(dir)
-            .map_err(|io| Error::io(format!("creating {}", dir.display()), io))?;
-        let path = dir.join("STORM_expt.json");
-        std::fs::write(&path, report.to_json(&opts).pretty())
-            .map_err(|io| Error::io(format!("writing {}", path.display()), io))?;
-        println!("wrote {}", path.display());
-    }
-    if let Some(required) = cli.min_hit_rate {
-        let measured = report.hot.hit_rate();
-        if measured < required {
-            return Err(Error::StormHitRate { measured, required });
-        }
-        println!(
-            "storm hit-rate gate ok: {:.1}% >= {:.1}%",
-            measured * 100.0,
-            required * 100.0
         );
     }
     Ok(ExitCode::SUCCESS)
@@ -936,11 +853,11 @@ fn write_profile(out: Option<&Path>) -> Result<(), Error> {
 fn validate_trace(path: &Path) -> Result<ExitCode, Error> {
     let text = std::fs::read_to_string(path)
         .map_err(|io| Error::io(format!("reading {}", path.display()), io))?;
-    let doc = hydra_stats::Json::parse(&text)
+    let doc = Json::parse(&text)
         .map_err(|e| Error::Usage(format!("{}: invalid JSON: {e}", path.display())))?;
     let events = doc
         .get("traceEvents")
-        .and_then(hydra_stats::Json::as_arr)
+        .and_then(Json::as_arr)
         .ok_or_else(|| Error::Usage(format!("{}: no traceEvents array", path.display())))?;
     if events.is_empty() {
         return Err(Error::Usage(format!(

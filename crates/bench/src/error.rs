@@ -57,14 +57,6 @@ pub enum Error {
         /// Where the minimized replayable repro was written.
         repro: PathBuf,
     },
-    /// `expt storm --min-hit-rate` measured a hot-phase cache hit rate
-    /// below the required floor.
-    StormHitRate {
-        /// Hot-phase hit rate measured, as a fraction.
-        measured: f64,
-        /// The `--min-hit-rate` floor, as a fraction.
-        required: f64,
-    },
     /// The command line itself is invalid (unknown flag, missing value).
     Usage(String),
 }
@@ -111,12 +103,6 @@ impl fmt::Display for Error {
                  {what} (repro: {})",
                 repro.display(),
             ),
-            Error::StormHitRate { measured, required } => write!(
-                f,
-                "storm hot-phase cache hit rate {:.1}% is below the required {:.1}%",
-                measured * 100.0,
-                required * 100.0,
-            ),
             Error::Usage(msg) => write!(f, "{msg}"),
         }
     }
@@ -131,7 +117,6 @@ impl std::error::Error for Error {
             Error::UnknownExperiment(_)
             | Error::PerfRegression { .. }
             | Error::FuzzDivergence { .. }
-            | Error::StormHitRate { .. }
             | Error::Usage(_) => None,
         }
     }
@@ -212,18 +197,6 @@ mod tests {
         assert!(msg.contains("412 commits"), "{msg}");
         assert!(msg.contains("return prediction diverged"), "{msg}");
         assert!(msg.contains("out/fuzz_repro.json"), "{msg}");
-        assert!(e.source().is_none());
-    }
-
-    #[test]
-    fn storm_hit_rate_display_shows_percentages() {
-        let e = Error::StormHitRate {
-            measured: 0.825,
-            required: 0.9,
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("82.5%"), "{msg}");
-        assert!(msg.contains("90.0%"), "{msg}");
         assert!(e.source().is_none());
     }
 

@@ -4,12 +4,12 @@
 //! unit that *plans* a batch of independent [`SimJob`]s and *harvests*
 //! the job outputs back into a rendered [`Table`]. The plan/harvest
 //! split is the programmatic entry point everything else drives — the
-//! `expt` CLI, the `hydra-serve` request handler, sweeps, and tests all
-//! call `plan()`, run the jobs however they like (the engine in
-//! [`crate::engine`], a remote worker pool, a cache), and feed the
-//! outputs to `harvest()`. `plan()` defines the deterministic job order,
-//! `harvest()` consumes outputs in that same order via [`Harvest`], and
-//! the result is byte-identical however the jobs were scheduled.
+//! `expt` CLI, the [`crate::api`] request handler, sweeps, and tests all
+//! call `plan()`, run the jobs on the engine in [`crate::engine`], and
+//! feed the outputs to `harvest()`. `plan()` defines the deterministic
+//! job order, `harvest()` consumes outputs in that same order via
+//! [`Harvest`], and the result is byte-identical however the jobs were
+//! scheduled.
 //!
 //! [`registry`] lists every experiment; the `expt` binary dispatches on
 //! [`Experiment::name`] (`expt --list`, `expt table1`, `expt all`).
@@ -29,8 +29,8 @@ use crate::{repair_ladder, RunSpec};
 /// back into a table; see the module docs. The contract between the two
 /// halves: `harvest` must consume outputs in exactly the order `plan`
 /// emitted them (enforced by [`Harvest`]), and both halves must be pure
-/// functions of `rs` — that purity is what lets a server answer a
-/// repeated request from a content-addressed cache byte-identically.
+/// functions of `rs` — that purity is what makes a run's result
+/// document independent of how its jobs were scheduled.
 pub trait Experiment: Sync {
     /// Registry key and CLI name, e.g. `"fig-repair"`.
     fn name(&self) -> &'static str;

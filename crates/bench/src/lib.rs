@@ -62,8 +62,6 @@ pub mod golden;
 pub mod perf;
 pub mod report;
 pub mod results;
-pub mod service;
-pub mod storm;
 pub mod sweep;
 
 pub use api::{handle, ApiError, Request, Response};
@@ -73,8 +71,6 @@ pub use experiments::{find, lookup, registry, run_experiment, Experiment, Experi
 pub use golden::{diff, DiffOptions, GoldenError, Mismatch};
 pub use report::{render_report, write_report};
 pub use results::{Format, ResultSink, SCHEMA_VERSION};
-pub use service::ExptService;
-pub use storm::{storm, PhaseStats, StormOptions, StormReport};
 pub use sweep::SweepExperiment;
 
 use hydra_pipeline::ReturnPredictor;

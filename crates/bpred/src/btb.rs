@@ -1,13 +1,12 @@
 //! The decoupled branch target buffer.
 
 use hydra_isa::Addr;
-use serde::{Deserialize, Serialize};
 
 /// BTB geometry. The default (128 sets × 4 ways = 512 entries) follows
 /// the paper's baseline, which decouples the BTB from the direction
 /// predictor and allocates entries only for taken branches so a smaller
 /// BTB suffices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BtbConfig {
     /// Number of sets (power of two).
     pub sets: usize,
@@ -21,7 +20,7 @@ impl Default for BtbConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BtbEntry {
     tag: u64,
     target: Addr,

@@ -2,10 +2,9 @@
 
 use crate::SaturatingCounter;
 use hydra_isa::Addr;
-use serde::{Deserialize, Serialize};
 
 /// Geometry and threshold of the confidence estimator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConfidenceConfig {
     /// Table entries (power of two).
     pub entries: usize,

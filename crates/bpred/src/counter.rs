@@ -1,7 +1,5 @@
 //! Saturating counters — the primitive of every table-based predictor.
 
-use serde::{Deserialize, Serialize};
-
 /// An n-bit saturating up/down counter (1 ≤ n ≤ 8).
 ///
 /// The classic two-bit counter (Smith, ISCA-8) predicts taken when in the
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// c.increment(); // saturates at 3
 /// assert_eq!(c.value(), 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SaturatingCounter {
     value: u8,
     max: u8,

@@ -2,7 +2,6 @@
 
 use crate::SaturatingCounter;
 use hydra_isa::Addr;
-use serde::{Deserialize, Serialize};
 
 /// Geometry of the hybrid predictor.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// 12 bits of global history, a PAg with 1K 10-bit local histories
 /// indexing a 1K-entry pattern table, and a 4K-entry chooser indexed by
 /// global history.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HybridConfig {
     /// Bits of global history (GAg table has `2^global_history_bits`
     /// counters).
@@ -66,7 +65,7 @@ impl HybridConfig {
 /// counters that produced the prediction even though the global history
 /// has moved on — the same bookkeeping real pipelines carry with each
 /// in-flight branch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DirectionPrediction {
     /// The hybrid's final direction prediction.
     pub taken: bool,

@@ -1,6 +1,5 @@
 //! Shadow-state capacity modeling.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A counting budget for in-flight branch checkpoints, modeling the
@@ -23,7 +22,7 @@ use std::fmt;
 /// budget.release();
 /// assert!(budget.try_acquire());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointBudget {
     capacity: Option<usize>,
     in_flight: usize,

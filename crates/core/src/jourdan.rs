@@ -35,7 +35,6 @@
 //! ```
 
 use crate::stack::RasStats;
-use serde::{Deserialize, Serialize};
 
 /// Sentinel meaning "no entry" (empty stack / end of chain).
 const NONE: usize = usize::MAX;
@@ -43,7 +42,7 @@ const NONE: usize = usize::MAX;
 /// One linked slot of the self-checkpointing stack. Public (with public
 /// fields) so external snapshot serializers can walk and rebuild state
 /// exactly; `below == usize::MAX` is the end-of-chain sentinel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkEntry {
     /// Predicted return address.
     pub addr: u64,
@@ -57,7 +56,7 @@ pub struct LinkEntry {
 /// its tag — one word of shadow state per branch, like the plain
 /// TOS-pointer mechanism, but with full-checkpoint-quality repair as long
 /// as the referenced chain has not been recycled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkCheckpoint {
     tos: usize,
     tos_seq: u64,
@@ -83,7 +82,7 @@ impl LinkCheckpoint {
 }
 
 /// The self-checkpointing (popped-entry-preserving) return-address stack.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SelfCheckpointingStack {
     entries: Vec<LinkEntry>,
     tos: usize,

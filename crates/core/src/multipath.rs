@@ -1,7 +1,6 @@
 //! Stack organizations for multipath processors.
 
 use crate::RepairPolicy;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How a multipath processor organizes its return-address stack(s).
@@ -25,7 +24,7 @@ use std::fmt;
 /// assert!(!unified.is_per_path());
 /// assert!(MultipathStackPolicy::PerPath.is_per_path());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MultipathStackPolicy {
     /// One stack shared by all live paths, repaired on mispredictions with
     /// the given policy. Forked paths interleave their pushes and pops on

@@ -1,14 +1,13 @@
 //! Repair policies and checkpoints.
 
 use crate::stack::Entry;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The menu of return-address-stack repair mechanisms the paper evaluates.
 ///
 /// Ordered roughly by hardware cost. See the crate-level documentation for
 /// what each repairs and what it leaves corrupt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RepairPolicy {
     /// No repair at all (the corruption baseline).
     None,
@@ -85,7 +84,7 @@ impl fmt::Display for RepairPolicy {
 
 /// What a checkpoint saved. Public (with public variants) so external
 /// snapshot serializers can persist and rebuild in-flight checkpoints.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SavedContents {
     /// Nothing beyond the pointer fields.
     None,
@@ -108,7 +107,7 @@ pub enum SavedContents {
 /// In a real processor this is the per-branch shadow state distributed
 /// near the stack; [`CheckpointBudget`](crate::CheckpointBudget) models its
 /// limited capacity.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RasCheckpoint {
     pub(crate) policy: RepairPolicy,
     pub(crate) tos: usize,

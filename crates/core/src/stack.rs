@@ -1,7 +1,6 @@
 //! The hardware return-address stack structure.
 
 use crate::repair::{RasCheckpoint, RepairPolicy, SavedContents};
-use serde::{Deserialize, Serialize};
 
 /// One physical stack entry.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Public (with public fields) so external snapshot serializers can
 /// walk and rebuild stack state exactly.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Entry {
     /// Predicted return address.
     pub addr: u64,
@@ -23,7 +22,7 @@ pub struct Entry {
 }
 
 /// Usage and event statistics for one stack.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RasStats {
     /// Number of pushes.
     pub pushes: u64,
@@ -72,7 +71,7 @@ pub struct RasStats {
 /// ras.pop(); // empty: underflow, stale data
 /// assert_eq!(ras.stats().underflows, 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReturnAddressStack {
     entries: Vec<Entry>,
     tos: usize,

@@ -8,7 +8,6 @@
 //! activity (calls, returns, branch checkpoints, squashes).
 
 use crate::{RasCheckpoint, RepairPolicy, ReturnAddressStack};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -17,7 +16,7 @@ use std::fmt;
 /// Checkpoint identifiers are chosen by the trace producer; a
 /// `ResolveWrong { id }` restores the stack to the matching
 /// `Predict { id }` point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A call was fetched; pushes `return_addr`.
     Call {
@@ -49,7 +48,7 @@ pub enum TraceEvent {
 }
 
 /// Aggregated results of a trace replay.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TraceOutcome {
     /// Returns replayed.
     pub returns: u64,

@@ -1,6 +1,5 @@
 //! Word-granular instruction addresses.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An instruction address, measured in 4-byte words.
@@ -20,9 +19,7 @@ use std::fmt;
 /// assert_eq!(pc.byte(), 40);
 /// assert_eq!(pc.next(), Addr::new(11));
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Addr(u64);
 
 impl Addr {

@@ -2,7 +2,6 @@
 //! conditions, instructions, and fetch-visible control-flow classes.
 
 use crate::Addr;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An architectural integer register, `r0`–`r31`.
@@ -20,9 +19,7 @@ use std::fmt;
 /// assert_eq!(Reg::RA.index(), 31);
 /// assert_eq!(Reg::gpr(5), Reg::R5);
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Reg(u8);
 
 impl Reg {
@@ -88,7 +85,7 @@ impl fmt::Display for Reg {
 }
 
 /// Integer ALU operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AluOp {
     /// Wrapping addition.
     Add,
@@ -131,7 +128,7 @@ impl fmt::Display for AluOp {
 }
 
 /// Conditional-branch comparisons between two registers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Cond {
     /// Taken if `lhs == rhs`.
     Eq,
@@ -167,7 +164,7 @@ impl fmt::Display for Cond {
 /// control-flow idioms that drive return-address-stack behaviour: direct
 /// and indirect calls, architecturally-marked returns, conditional
 /// branches whose outcome depends on computed data, and plain loads/stores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Inst {
     /// No operation.
     Nop,
@@ -264,7 +261,7 @@ pub enum Inst {
 /// targets point, which transfers are calls (push the return-address
 /// stack), which are returns (pop it), and which need a BTB or RAS
 /// prediction because the target is not in the instruction bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ControlKind {
     /// Falls through to the next instruction.
     Sequential,

@@ -1,7 +1,6 @@
 //! Executable program images.
 
 use crate::{Addr, Inst};
-use serde::{Deserialize, Serialize};
 
 /// An executable program image: a flat word-addressed instruction memory
 /// plus the size of the data segment it expects.
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.fetch(Addr::new(1)), Some(Inst::Halt));
 /// assert_eq!(p.fetch(Addr::new(99)), None);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     instructions: Vec<Inst>,
     data_words: u64,

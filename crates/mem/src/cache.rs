@@ -1,10 +1,8 @@
 //! A single set-associative cache level.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry of one cache level. Addresses are in words; a line holds
 /// `line_words` consecutive words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Number of sets (power of two).
     pub sets: usize,
@@ -22,7 +20,7 @@ impl CacheConfig {
 }
 
 /// Access statistics for one cache level.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Total accesses.
     pub accesses: u64,

@@ -1,14 +1,13 @@
 //! The composed two-level hierarchy.
 
 use crate::{Cache, CacheConfig, CacheStats};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the full memory system.
 ///
 /// Defaults follow the paper's baseline (Table 1): 64 KB-class split L1
 /// caches with single-cycle hits, a large unified L2, and a fixed
 /// main-memory latency. Sizes are expressed in words (4 bytes each).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchyConfig {
     /// L1 instruction cache geometry.
     pub l1i: CacheConfig,

@@ -3,7 +3,6 @@
 use hydra_bpred::{BtbConfig, ConfidenceConfig, HybridConfig};
 use hydra_mem::{CacheConfig, HierarchyConfig};
 use ras_core::{MultipathStackPolicy, RepairPolicy};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A structural problem in a [`CoreConfig`], reported by
@@ -124,7 +123,7 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// How the front end predicts procedure-return targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReturnPredictor {
     /// A return-address stack with the given repair policy (the paper's
     /// subject). Returns do not occupy BTB entries.
@@ -164,7 +163,7 @@ impl ReturnPredictor {
 /// How simultaneous hardware threads (harts) share the return-address
 /// stack — the SMT/multi-core generalization of the paper's multipath
 /// contention question.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum RasSharing {
     /// One stack, no hart discrimination: sibling harts push and pop
     /// through each other's return chains (the ret2spec scenario).
@@ -195,7 +194,7 @@ impl RasSharing {
 }
 
 /// Multipath (eager) execution configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MultipathConfig {
     /// Maximum simultaneously live paths (the paper evaluates 2 and 4).
     pub max_paths: usize,
@@ -204,7 +203,7 @@ pub struct MultipathConfig {
 }
 
 /// Functional-unit latencies in cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FuLatencies {
     /// Simple integer ALU operations.
     pub alu: u64,
@@ -241,7 +240,7 @@ impl Default for FuLatencies {
 /// constructors), never by struct literal, so new machine parameters can
 /// be added without breaking downstream code.
 #[non_exhaustive]
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreConfig {
     /// Instructions fetched per cycle (per fetch block).
     pub fetch_width: usize,

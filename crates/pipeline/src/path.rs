@@ -11,13 +11,10 @@
 //!   must be on *P* itself, or on an ancestor *before* the fork point
 //!   leading toward *P*.)
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies one execution path within a simulation.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PathId(u32);
 
 impl PathId {
@@ -47,9 +44,7 @@ impl fmt::Display for PathId {
 /// fetch, prediction and commit so shared structures (the RAS unit
 /// under [`crate::RasSharing`]) can attribute every operation to the
 /// stream that performed it. A single-stream core is hart 0 throughout.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HartId(u8);
 
 impl HartId {

@@ -1,10 +1,9 @@
 //! Simulation statistics.
 
 use hydra_stats::Ratio;
-use serde::{Deserialize, Serialize};
 
 /// Where a return-target prediction came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReturnSource {
     /// Popped from the return-address stack.
     Ras,
@@ -23,7 +22,7 @@ pub enum ReturnSource {
 /// architectural statistics; wrong-path activity shows up in
 /// `fetched_uops` / `squashed_uops` and in the cache and RAS event
 /// counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct SimStats {
     /// Cycles simulated.
     pub cycles: u64,

@@ -1,6 +1,5 @@
 //! Event counters and derived ratios.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::AddAssign;
 
@@ -19,9 +18,7 @@ use std::ops::AddAssign;
 /// commits.increment();
 /// assert_eq!(commits.value(), 4);
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Counter(u64);
 
 impl Counter {
@@ -85,7 +82,7 @@ impl fmt::Display for Counter {
 /// assert!((r.value() - 0.99).abs() < 1e-12);
 /// assert_eq!(format!("{r}"), "99.00%");
 /// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ratio {
     numerator: u64,
     denominator: u64,

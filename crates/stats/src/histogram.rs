@@ -1,6 +1,5 @@
 //! Histograms over small unsigned-integer domains.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A histogram over `u64` sample values.
@@ -24,7 +23,7 @@ use std::fmt;
 /// assert_eq!(depths.total(), 6);
 /// assert_eq!(depths.max(), Some(100));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
     overflow: u64,

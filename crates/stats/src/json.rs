@@ -1,8 +1,8 @@
 //! A minimal, deterministic JSON document model.
 //!
-//! The build environment vendors `serde` as a no-op derive stub (see
-//! `vendor/README.md`), so the structured-results layer carries its own
-//! document model: a [`Json`] tree with insertion-ordered objects, a
+//! The workspace has no serialization dependency, so the
+//! structured-results layer carries its own document model: a [`Json`]
+//! tree with insertion-ordered objects, a
 //! writer whose output is byte-deterministic for a given tree, and a
 //! strict recursive-descent parser for reading committed golden files
 //! back.

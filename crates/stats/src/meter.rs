@@ -1,7 +1,6 @@
 //! Throughput meters: event counts over a wall-clock window.
 
 use crate::Counter;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Duration;
 
@@ -26,7 +25,7 @@ use std::time::Duration;
 /// assert_eq!(m.per_sec(), 200.0);
 /// assert_eq!(format!("{m}"), "200.0/s");
 /// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct Meter {
     events: Counter,
     window_nanos: u128,

@@ -1,6 +1,5 @@
 //! Streaming summary statistics (Welford's algorithm).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A streaming mean/variance accumulator.
@@ -20,7 +19,7 @@ use std::fmt;
 /// assert_eq!(s.mean(), 5.0);
 /// assert!((s.stddev() - 2.138).abs() < 0.01);
 /// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct Summary {
     count: u64,
     mean: f64,

@@ -9,7 +9,6 @@
 use crate::Workload;
 use hydra_isa::{ControlKind, ExecError, FastCore, FunctionalCore};
 use hydra_stats::{Histogram, Ratio};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Dynamic characteristics of a workload over an execution window.
@@ -28,7 +27,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DynamicProfile {
     /// Instructions retired in the window.
     pub instructions: u64,

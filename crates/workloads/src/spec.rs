@@ -1,7 +1,5 @@
 //! Per-benchmark generation profiles.
 
-use serde::{Deserialize, Serialize};
-
 /// A generation profile: every knob the generator uses to shape a
 /// benchmark's control-flow character.
 ///
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// instructions, conditional-branch densities near 10–20%, and prediction
 /// accuracies ordered go < gcc/ijpeg < compress/li < m88ksim/perl <
 /// vortex.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Benchmark name (e.g. `"go"`).
     pub name: String,

@@ -23,12 +23,10 @@
 //!   metrics, and the leveled stderr logger (enable recording with the
 //!   `trace` cargo feature);
 //! * [`bench`] (`hydra-bench`) — the experiment harness behind the
-//!   `expt` binary: every table and figure of the paper as a registered
-//!   experiment, plus the typed programmatic API ([`Request`] /
-//!   [`Response`]);
-//! * [`serve`] (`hydra-serve`) — the HTTP/1.1 simulation server behind
-//!   `expt serve`: content-addressed result cache, request coalescing,
-//!   and a bounded compute queue with backpressure.
+//!   `expt` binary, the repository's one command line: every table and
+//!   figure of the paper as a registered experiment, single-configuration
+//!   runs (`expt run`), plus the typed programmatic API ([`Request`] /
+//!   [`Response`]).
 //!
 //! The most commonly used types are also re-exported at the crate root.
 //!
@@ -98,8 +96,7 @@
 //! in-process through a schema-versioned [`Request`] / [`Response`]
 //! pair. A request is a pure value — (experiment name, run spec) — and
 //! because the simulator is deterministic, the response is a pure
-//! function of it; [`Request::cache_key`] is the content address that
-//! `expt serve` caches results under.
+//! function of it.
 //!
 //! ```
 //! use hydrascalar::bench::api::handle;
@@ -111,16 +108,14 @@
 //! let request = Request::new("table1", run);
 //!
 //! // Run the experiment in-process (one worker is plenty here) and get
-//! // back the same result document `expt` writes and `expt serve`
-//! // serves.
+//! // back the same result document `expt --format json` writes.
 //! let response = handle(&request, 1)?;
 //! assert_eq!(response.experiment, "table1");
 //! assert!(!response.title.is_empty());
 //!
-//! // The document round-trips losslessly, and the content address is a
-//! // stable function of the request value.
+//! // Both documents round-trip losslessly.
 //! assert_eq!(Response::from_json(&response.to_json()), Ok(response));
-//! assert_eq!(request.cache_key(), Request::new("table1", run).cache_key());
+//! assert_eq!(Request::from_json(&request.to_json()), Ok(request));
 //! # Ok(())
 //! # }
 //! ```
@@ -133,7 +128,6 @@ pub use hydra_bpred as bpred;
 pub use hydra_isa as isa;
 pub use hydra_mem as mem;
 pub use hydra_pipeline as pipeline;
-pub use hydra_serve as serve;
 pub use hydra_stats as stats;
 pub use hydra_trace as trace;
 pub use hydra_workloads as workloads;
