@@ -111,7 +111,7 @@ const COMMANDS: [&str; 5] = ["run", "perf", "report", "fuzz", "sweep"];
 const PREDICTORS: [&str; 4] = ["ras", "self-ckpt", "btb", "perfect"];
 
 /// `--seed`'s default under `expt fuzz`; `expt run` defaults to the
-/// workload seed of [`RunSpec::full`].
+/// suite seed of [`RunSpec::full`].
 const FUZZ_SEED: u64 = 0xC0FFEE;
 
 fn main() -> ExitCode {
@@ -556,10 +556,16 @@ fn run_single(cli: &Cli) -> Result<ExitCode, Error> {
         Format::Json => true,
         Format::Csv => return Err(Error::Usage("'run' prints table or json".into())),
     };
+    // `--seed` is the suite seed, as in an experiment's `RunSpec`, so a
+    // run reproduces the matching cell of any experiment table.
     let seed = cli.seed.unwrap_or(RunSpec::full().seed);
-    let spec = WorkloadSpec::by_name(&m.workload)
+    let (index, spec) = WorkloadSpec::spec95_suite()
+        .into_iter()
+        .enumerate()
+        .find(|(_, s)| s.name == m.workload)
         .ok_or_else(|| Error::Usage(format!("unknown workload {:?} (try --list)", m.workload)))?;
-    let workload = Workload::generate(&spec, seed).expect("built-in suite generates");
+    let workload = Workload::generate(&spec, WorkloadSpec::suite_seed(seed, index))
+        .expect("built-in suite generates");
     let mut core = Core::new(m.config()?, workload.program());
     if m.golden {
         core.enable_golden_check();

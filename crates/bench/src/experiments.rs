@@ -107,13 +107,13 @@ pub fn lookup(name: &str) -> Result<Box<dyn Experiment>, Error> {
 }
 
 /// The suite's workload specs with their per-benchmark generation seeds
-/// (the same derivation [`hydra_workloads::Workload::spec95_suite`]
-/// uses), so jobs can regenerate workloads independently.
+/// ([`WorkloadSpec::suite_seed`]), so jobs can regenerate workloads
+/// independently.
 pub fn suite_specs(rs: &RunSpec) -> Vec<(WorkloadSpec, u64)> {
     WorkloadSpec::spec95_suite()
         .into_iter()
         .enumerate()
-        .map(|(i, s)| (s, rs.seed.wrapping_add(i as u64 * 0x9e37_79b9)))
+        .map(|(i, s)| (s, WorkloadSpec::suite_seed(rs.seed, i)))
         .collect()
 }
 

@@ -3,7 +3,7 @@
 //! run, `expt --list` must cover the whole registry, both flag spellings
 //! parse alike, and `expt run` builds the machine its flags describe.
 
-use hydra_bench::{find, registry, run_experiment, RunSpec};
+use hydra_bench::{find, registry, run_experiment, run_job, JobOutput, RunSpec};
 use hydra_stats::Json;
 use std::process::Command;
 
@@ -321,4 +321,40 @@ fn list_names_the_run_workloads() {
     for spec in hydra_workloads::WorkloadSpec::spec95_suite() {
         assert!(stdout.contains(&format!("\n  {}\n", spec.name)), "{stdout}");
     }
+}
+
+/// `--seed` is the suite seed, so an `expt run` line reproduces the
+/// matching cell of an experiment table: here quick-mode `fig-repair`'s
+/// `li × no repair`. (Not `go`: as the suite's first member its seed
+/// equals the suite seed, so it would match even with a wrong
+/// derivation.)
+#[test]
+fn run_reproduces_an_experiment_cell() {
+    let rs = RunSpec::quick();
+    let experiment = find("fig-repair").expect("fig-repair is registered");
+    let job = experiment
+        .plan(&rs)
+        .into_iter()
+        .find(|j| j.label == "li × no repair")
+        .expect("fig-repair plans li × no repair");
+    let JobOutput::Stats(cell) = run_job(&job) else {
+        panic!("fig-repair runs plain cycle jobs");
+    };
+    let doc = run_json(&[
+        "--workload",
+        "li",
+        "--seed",
+        &rs.seed.to_string(),
+        "--warmup",
+        &rs.fast_forward.to_string(),
+        "--instructions",
+        &rs.horizon.to_string(),
+        "--return-predictor",
+        "ras",
+        "--repair",
+        "none",
+        "--ras-entries",
+        "32",
+    ]);
+    assert_eq!(doc.get("stats"), Some(&cell.to_json()));
 }

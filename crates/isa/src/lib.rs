@@ -59,6 +59,6 @@ pub use addr::Addr;
 pub use builder::{BuildError, Label, ProgramBuilder};
 pub use fastcore::{FastCore, FunctionalCore};
 pub use inst::{AluOp, Cond, ControlKind, Inst, Reg};
-pub use machine::{ExecError, Machine, Retired};
+pub use machine::{ArchState, ExecError, Executed, Machine, Retired};
 pub use predecode::{MicroOp, Predecoded, REG_SINK};
 pub use program::Program;

@@ -55,6 +55,137 @@ pub struct Retired {
     pub taken: Option<bool>,
 }
 
+/// The architectural state a program runs on — registers, data memory,
+/// program counter and the halted flag — plus the one interpreter of the
+/// ISA's semantics, [`ArchState::execute`].
+///
+/// It owns no program, so a holder that also owns the image (the
+/// cycle-level core's golden check) can keep one alongside it; the
+/// [`Machine`] pairs it with a borrowed image.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ArchState {
+    /// Architectural registers; `r0` always reads zero.
+    pub regs: [i64; Reg::COUNT],
+    /// Data memory, one word per entry.
+    pub mem: Vec<i64>,
+    /// Address of the next instruction to execute.
+    pub pc: Addr,
+    /// Whether a `halt` has executed.
+    pub halted: bool,
+}
+
+/// What [`ArchState::execute`] did with one instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Executed {
+    /// The architecturally correct next program counter.
+    pub next_pc: Addr,
+    /// For conditional branches, whether the branch was taken.
+    pub taken: Option<bool>,
+    /// The value computed for the destination register, if the
+    /// instruction has one — reported even when the destination is `r0`
+    /// and the write is discarded.
+    pub dest_value: Option<i64>,
+}
+
+impl ArchState {
+    /// Program-entry state: zeroed registers and `data_words` words of
+    /// zeroed memory, PC at [`Addr::ZERO`].
+    pub fn new(data_words: u64) -> Self {
+        ArchState {
+            regs: [0; Reg::COUNT],
+            mem: vec![0; data_words as usize],
+            pc: Addr::ZERO,
+            halted: false,
+        }
+    }
+
+    /// Reads an architectural register.
+    pub fn reg(&self, r: Reg) -> i64 {
+        self.regs[r.index() as usize]
+    }
+
+    /// Writes an architectural register; writes to `r0` are discarded.
+    pub fn set_reg(&mut self, r: Reg, value: i64) {
+        if !r.is_zero() {
+            self.regs[r.index() as usize] = value;
+        }
+    }
+
+    /// Executes `inst` as the instruction at the current PC and advances
+    /// the PC. `halt` sets the halted flag and leaves the PC in place.
+    pub fn execute(&mut self, inst: Inst) -> Executed {
+        let pc = self.pc;
+        let data_words = self.mem.len() as u64;
+        let mut next_pc = pc.next();
+        let mut taken = None;
+        let mut dest_value = None;
+        match inst {
+            Inst::Nop => {}
+            Inst::Halt => {
+                self.halted = true;
+                next_pc = pc;
+            }
+            Inst::Alu { op, rd, rs, rt } => {
+                let v = alu(op, self.reg(rs), self.reg(rt));
+                self.set_reg(rd, v);
+                dest_value = Some(v);
+            }
+            Inst::AluImm { op, rd, rs, imm } => {
+                let v = alu(op, self.reg(rs), imm);
+                self.set_reg(rd, v);
+                dest_value = Some(v);
+            }
+            Inst::LoadImm { rd, imm } => {
+                self.set_reg(rd, imm);
+                dest_value = Some(imm);
+            }
+            Inst::Load { rd, base, offset } => {
+                let ea = effective_address(self.reg(base), offset, data_words);
+                let v = self.mem[ea as usize];
+                self.set_reg(rd, v);
+                dest_value = Some(v);
+            }
+            Inst::Store { rs, base, offset } => {
+                let ea = effective_address(self.reg(base), offset, data_words);
+                self.mem[ea as usize] = self.reg(rs);
+            }
+            Inst::Branch {
+                cond,
+                rs,
+                rt,
+                target,
+            } => {
+                let t = branch_taken(cond, self.reg(rs), self.reg(rt));
+                taken = Some(t);
+                if t {
+                    next_pc = target;
+                }
+            }
+            Inst::Jump { target } => next_pc = target,
+            Inst::Call { target } => {
+                let ra = pc.next().word() as i64;
+                self.set_reg(Reg::RA, ra);
+                dest_value = Some(ra);
+                next_pc = target;
+            }
+            Inst::CallIndirect { rs } => {
+                next_pc = Addr::new(self.reg(rs) as u64);
+                let ra = pc.next().word() as i64;
+                self.set_reg(Reg::RA, ra);
+                dest_value = Some(ra);
+            }
+            Inst::JumpIndirect { rs } => next_pc = Addr::new(self.reg(rs) as u64),
+            Inst::Return => next_pc = Addr::new(self.reg(Reg::RA) as u64),
+        }
+        self.pc = next_pc;
+        Executed {
+            next_pc,
+            taken,
+            dest_value,
+        }
+    }
+}
+
 /// The functional emulator: executes a [`Program`] one instruction at a
 /// time with exact architectural semantics and no speculation.
 ///
@@ -82,10 +213,7 @@ pub struct Retired {
 #[derive(Debug, Clone)]
 pub struct Machine<'p> {
     program: &'p Program,
-    regs: [i64; Reg::COUNT],
-    mem: Vec<i64>,
-    pc: Addr,
-    halted: bool,
+    state: ArchState,
     retired: u64,
 }
 
@@ -95,22 +223,19 @@ impl<'p> Machine<'p> {
     pub fn new(program: &'p Program) -> Self {
         Machine {
             program,
-            regs: [0; Reg::COUNT],
-            mem: vec![0; program.data_words() as usize],
-            pc: Addr::ZERO,
-            halted: false,
+            state: ArchState::new(program.data_words()),
             retired: 0,
         }
     }
 
     /// Current program counter.
     pub fn pc(&self) -> Addr {
-        self.pc
+        self.state.pc
     }
 
     /// Whether the machine has executed a `halt`.
     pub fn is_halted(&self) -> bool {
-        self.halted
+        self.state.halted
     }
 
     /// Number of instructions retired so far.
@@ -120,19 +245,18 @@ impl<'p> Machine<'p> {
 
     /// Reads an architectural register.
     pub fn reg(&self, r: Reg) -> i64 {
-        self.regs[r.index() as usize]
+        self.state.reg(r)
     }
 
     /// Writes an architectural register; writes to `r0` are discarded.
     pub fn set_reg(&mut self, r: Reg, value: i64) {
-        if !r.is_zero() {
-            self.regs[r.index() as usize] = value;
-        }
+        self.state.set_reg(r, value);
     }
 
     /// Reads a data-memory word (index wrapped into the data segment).
     pub fn mem_word(&self, index: u64) -> i64 {
-        self.mem[(index % self.mem.len() as u64) as usize]
+        let mem = &self.state.mem;
+        mem[(index % mem.len() as u64) as usize]
     }
 
     /// The program this machine executes.
@@ -162,79 +286,21 @@ impl<'p> Machine<'p> {
     /// [`ExecError::PcOutOfRange`] if the program counter left the image
     /// (a malformed program).
     pub fn step(&mut self) -> Result<Retired, ExecError> {
-        if self.halted {
+        if self.state.halted {
             return Err(ExecError::Halted);
         }
-        let pc = self.pc;
+        let pc = self.state.pc;
         let inst = self
             .program
             .fetch(pc)
             .ok_or(ExecError::PcOutOfRange { pc })?;
-
-        let mut next_pc = pc.next();
-        let mut taken = None;
-
-        match inst {
-            Inst::Nop => {}
-            Inst::Halt => {
-                self.halted = true;
-                next_pc = pc;
-            }
-            Inst::Alu { op, rd, rs, rt } => {
-                let v = alu(op, self.reg(rs), self.reg(rt));
-                self.set_reg(rd, v);
-            }
-            Inst::AluImm { op, rd, rs, imm } => {
-                let v = alu(op, self.reg(rs), imm);
-                self.set_reg(rd, v);
-            }
-            Inst::LoadImm { rd, imm } => self.set_reg(rd, imm),
-            Inst::Load { rd, base, offset } => {
-                let ea = effective_address(self.reg(base), offset, self.program.data_words());
-                let v = self.mem[ea as usize];
-                self.set_reg(rd, v);
-            }
-            Inst::Store { rs, base, offset } => {
-                let ea = effective_address(self.reg(base), offset, self.program.data_words());
-                self.mem[ea as usize] = self.reg(rs);
-            }
-            Inst::Branch {
-                cond,
-                rs,
-                rt,
-                target,
-            } => {
-                let t = branch_taken(cond, self.reg(rs), self.reg(rt));
-                taken = Some(t);
-                if t {
-                    next_pc = target;
-                }
-            }
-            Inst::Jump { target } => next_pc = target,
-            Inst::Call { target } => {
-                self.set_reg(Reg::RA, pc.next().word() as i64);
-                next_pc = target;
-            }
-            Inst::CallIndirect { rs } => {
-                let target = Addr::new(self.reg(rs) as u64);
-                self.set_reg(Reg::RA, pc.next().word() as i64);
-                next_pc = target;
-            }
-            Inst::JumpIndirect { rs } => {
-                next_pc = Addr::new(self.reg(rs) as u64);
-            }
-            Inst::Return => {
-                next_pc = Addr::new(self.reg(Reg::RA) as u64);
-            }
-        }
-
-        self.pc = next_pc;
+        let done = self.state.execute(inst);
         self.retired += 1;
         Ok(Retired {
             pc,
             inst,
-            next_pc,
-            taken,
+            next_pc: done.next_pc,
+            taken: done.taken,
         })
     }
 
@@ -262,7 +328,7 @@ impl<'p> Machine<'p> {
     /// before the program halts, or propagates [`ExecError::PcOutOfRange`].
     pub fn run(&mut self, limit: u64) -> Result<u64, ExecError> {
         let mut count = 0;
-        while !self.halted {
+        while !self.state.halted {
             if count == limit {
                 return Err(ExecError::InstructionLimit { limit });
             }

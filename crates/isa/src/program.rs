@@ -1,6 +1,8 @@
 //! Executable program images.
 
 use crate::{Addr, Inst};
+use std::fmt;
+use std::sync::OnceLock;
 
 /// An executable program image: a flat word-addressed instruction memory
 /// plus the size of the data segment it expects.
@@ -19,10 +21,30 @@ use crate::{Addr, Inst};
 /// assert_eq!(p.fetch(Addr::new(1)), Some(Inst::Halt));
 /// assert_eq!(p.fetch(Addr::new(99)), None);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Program {
     instructions: Vec<Inst>,
     data_words: u64,
+    /// [`Program::fingerprint`], computed on first use. A cache, not part
+    /// of the image: equality and `Debug` ignore it.
+    fingerprint: OnceLock<u64>,
+}
+
+impl PartialEq for Program {
+    fn eq(&self, other: &Self) -> bool {
+        self.instructions == other.instructions && self.data_words == other.data_words
+    }
+}
+
+impl Eq for Program {}
+
+impl fmt::Debug for Program {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Program")
+            .field("instructions", &self.instructions)
+            .field("data_words", &self.data_words)
+            .finish()
+    }
 }
 
 impl Program {
@@ -38,6 +60,7 @@ impl Program {
         Program {
             instructions,
             data_words,
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -85,26 +108,44 @@ impl Program {
     /// Snapshot/resume uses this to verify that the program supplied at
     /// resume time is the one the snapshot was taken against, without
     /// embedding the whole image in the snapshot.
+    ///
+    /// Hashing renders every instruction, so the value is computed on
+    /// the first call and cached in this image (clones made afterwards
+    /// carry it along).
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                hash = (hash ^ u64::from(b)).wrapping_mul(PRIME);
-            }
-        };
-        eat(&(self.instructions.len() as u64).to_le_bytes());
-        eat(&self.data_words.to_le_bytes());
-        let mut text = String::new();
+        *self.fingerprint.get_or_init(|| self.compute_fingerprint())
+    }
+
+    fn compute_fingerprint(&self) -> u64 {
+        let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+        h.eat(&(self.instructions.len() as u64).to_le_bytes());
+        h.eat(&self.data_words.to_le_bytes());
         for inst in &self.instructions {
             use std::fmt::Write as _;
-            text.clear();
-            let _ = write!(text, "{inst:?}");
-            eat(text.as_bytes());
-            eat(b";");
+            // Hashes the rendering as it is formatted, with no string
+            // buffer in between.
+            let _ = write!(h, "{inst:?}");
+            h.eat(b";");
         }
-        hash
+        h.0
+    }
+}
+
+/// FNV-1a state that text can be formatted into.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.eat(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -133,6 +174,17 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn zero_data_panics() {
         let _ = Program::new(vec![Inst::Halt], 0);
+    }
+
+    #[test]
+    fn cached_fingerprint_is_invisible_to_eq_and_debug() {
+        let warm = Program::new(vec![Inst::Nop, Inst::Halt], 8);
+        let cold = warm.clone();
+        let fp = warm.fingerprint();
+        assert_eq!(warm, cold);
+        assert_eq!(format!("{warm:?}"), format!("{cold:?}"));
+        assert_eq!(cold.fingerprint(), fp);
+        assert_eq!(warm.clone().fingerprint(), fp);
     }
 
     #[test]

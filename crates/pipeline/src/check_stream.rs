@@ -1,8 +1,8 @@
 //! The differential-check event stream.
 //!
-//! When the `commit-stream` cargo feature is enabled and a caller turns
-//! the stream on with [`Core::enable_check_stream`](crate::Core::enable_check_stream),
-//! the core records one [`CheckEvent`] per architectural commit and per
+//! When a caller turns the stream on with
+//! [`Core::enable_check_stream`](crate::Core::enable_check_stream), the
+//! core records one [`CheckEvent`] per architectural commit and per
 //! speculative return-address-stack interaction. An external oracle
 //! (the `hydra-check` crate) replays the stream against naive reference
 //! models: the commit records pin the architectural instruction stream
@@ -10,10 +10,9 @@
 //! speculative push, pop, checkpoint, restore and release to a textbook
 //! reimplementation of the repair policies.
 //!
-//! Without the feature the recording sites compile to nothing (the same
-//! dual-cfg trick `hydra-trace` uses), so the per-cycle hot path keeps
-//! its allocation-free contract. With the feature compiled in but the
-//! stream not enabled, each site costs one branch on a `None`.
+//! The tap is always compiled. While the stream is off each recording
+//! site costs one branch on a `None`, so the per-cycle hot path keeps its
+//! allocation-free contract.
 
 use crate::stats::ReturnSource;
 use hydra_isa::{Addr, Inst};

@@ -10,7 +10,7 @@ use std::fmt;
 ///
 /// [`CoreConfig::validate`] panics with the same message, so callers that
 /// want a typed error instead of a panic use `check`/`try_build`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ConfigError {
     /// A per-cycle width (fetch/dispatch/issue/commit) is zero.

@@ -18,27 +18,23 @@
 //! architectural register file at issue time — which is correct exactly
 //! because commit writes the register file in program order.
 
+mod codec;
+
+pub(crate) use codec::{decode_memory_state, encode_memory_state};
+
 use crate::check_stream::CheckEvent;
-use crate::config::{CoreConfig, FuLatencies, MultipathConfig, RasSharing, ReturnPredictor};
+use crate::config::{CoreConfig, ReturnPredictor};
 use crate::path::{HartId, PathId, PathTable};
 use crate::ptrace::PipeTrace;
 use crate::ras_unit::{CkptHandle, RasUnit};
-use crate::snapshot::{
-    test_faults, SnapError, SnapReader, SnapWriter, KIND_CORE, KIND_SYSTEM, TAG_ARCH, TAG_CONFIG,
-    TAG_GOLDEN, TAG_MACHINE, TAG_MEMORY, TAG_PREDICTORS, TAG_RAS, TAG_STATS,
-};
 use crate::stats::{ReturnSource, SimStats};
 use crate::uop::{Src, Uop, UopState, NIL};
-use hydra_bpred::{
-    Btb, BtbConfig, ConfidenceConfig, ConfidenceEstimator, DirectionPrediction, HybridConfig,
-    HybridPredictor, HybridState,
-};
+use hydra_bpred::{Btb, ConfidenceEstimator, HybridPredictor};
 use hydra_isa::semantics::{alu, branch_taken, effective_address};
-use hydra_isa::{Addr, ControlKind, Inst, Program, Reg};
-use hydra_mem::{Cache, CacheConfig, CacheStats, HierarchyConfig, MemoryHierarchy};
+use hydra_isa::{Addr, ArchState, ControlKind, Inst, Program, Reg};
+use hydra_mem::MemoryHierarchy;
 use hydra_obs::{classify_return_mispredict, CauseHistogram, CpiStack, LostCause};
 use hydra_stats::Histogram;
-use ras_core::MultipathStackPolicy;
 use std::collections::VecDeque;
 
 /// Cycles without a commit after which the simulator declares itself
@@ -169,99 +165,6 @@ impl Lsq {
     }
 }
 
-/// An in-core architectural interpreter used for the optional golden
-/// check: at every commit the retiring micro-op is compared against this
-/// machine, which executes the same program with exact semantics.
-#[derive(Debug, Clone)]
-struct GoldenMachine {
-    regs: [i64; Reg::COUNT],
-    mem: Vec<i64>,
-    pc: Addr,
-}
-
-impl GoldenMachine {
-    fn new(program: &Program) -> Self {
-        GoldenMachine {
-            regs: [0; Reg::COUNT],
-            mem: vec![0; program.data_words() as usize],
-            pc: Addr::ZERO,
-        }
-    }
-
-    fn reg(&self, r: Reg) -> i64 {
-        self.regs[r.index() as usize]
-    }
-
-    fn set_reg(&mut self, r: Reg, v: i64) {
-        if !r.is_zero() {
-            self.regs[r.index() as usize] = v;
-        }
-    }
-
-    /// Executes the instruction at the golden PC; returns
-    /// `(dest_value, next_pc)`.
-    fn step(&mut self, inst: Inst, data_words: u64) -> (Option<i64>, Addr) {
-        let pc = self.pc;
-        let mut next = pc.next();
-        let mut dest_val = None;
-        match inst {
-            Inst::Nop => {}
-            Inst::Halt => next = pc,
-            Inst::Alu { op, rd, rs, rt } => {
-                let v = alu(op, self.reg(rs), self.reg(rt));
-                self.set_reg(rd, v);
-                dest_val = Some(v);
-            }
-            Inst::AluImm { op, rd, rs, imm } => {
-                let v = alu(op, self.reg(rs), imm);
-                self.set_reg(rd, v);
-                dest_val = Some(v);
-            }
-            Inst::LoadImm { rd, imm } => {
-                self.set_reg(rd, imm);
-                dest_val = Some(imm);
-            }
-            Inst::Load { rd, base, offset } => {
-                let ea = effective_address(self.reg(base), offset, data_words);
-                let v = self.mem[ea as usize];
-                self.set_reg(rd, v);
-                dest_val = Some(v);
-            }
-            Inst::Store { rs, base, offset } => {
-                let ea = effective_address(self.reg(base), offset, data_words);
-                self.mem[ea as usize] = self.reg(rs);
-            }
-            Inst::Branch {
-                cond,
-                rs,
-                rt,
-                target,
-            } => {
-                if branch_taken(cond, self.reg(rs), self.reg(rt)) {
-                    next = target;
-                }
-            }
-            Inst::Jump { target } => next = target,
-            Inst::Call { target } => {
-                let ra = pc.next().word() as i64;
-                self.set_reg(Reg::RA, ra);
-                dest_val = Some(ra);
-                next = target;
-            }
-            Inst::CallIndirect { rs } => {
-                next = Addr::new(self.reg(rs) as u64);
-                let ra = pc.next().word() as i64;
-                self.set_reg(Reg::RA, ra);
-                dest_val = Some(ra);
-            }
-            Inst::JumpIndirect { rs } => next = Addr::new(self.reg(rs) as u64),
-            Inst::Return => next = Addr::new(self.reg(Reg::RA) as u64),
-        }
-        self.pc = next;
-        (dest_val, next)
-    }
-}
-
 /// The simulated processor.
 ///
 /// # Examples
@@ -346,12 +249,13 @@ pub struct Core {
     /// Cycle count at the last statistics reset (warm-up boundary).
     cycle_base: u64,
     last_commit_cycle: u64,
-    golden: Option<GoldenMachine>,
+    /// The optional golden check: an architectural interpreter that
+    /// executes every retiring instruction alongside commit, which
+    /// compares the micro-op's result and control target against it.
+    golden: Option<ArchState>,
     ptrace: Option<PipeTrace>,
-    /// Differential-check event buffer; `None` until enabled, so the
-    /// recording sites cost one branch when the feature is compiled in
-    /// but the stream is off.
-    #[cfg(feature = "commit-stream")]
+    /// Differential-check event buffer; `None` until enabled, so each
+    /// recording site costs one branch while the stream is off.
     check_stream: Option<Vec<CheckEvent>>,
     occupancy: Occupancy,
 
@@ -445,7 +349,6 @@ impl Core {
             last_commit_cycle: 0,
             golden: None,
             ptrace: None,
-            #[cfg(feature = "commit-stream")]
             check_stream: None,
             occupancy: Occupancy::new(&config),
             scratch_subtree: Vec::new(),
@@ -460,14 +363,13 @@ impl Core {
     /// compared against an architectural interpreter running alongside.
     /// Slows simulation; intended for tests.
     pub fn enable_golden_check(&mut self) {
-        self.golden = Some(GoldenMachine::new(&self.program));
+        self.golden = Some(ArchState::new(self.program.data_words()));
     }
 
     /// Enables recording of the differential-check stream: one
     /// [`CheckEvent`] per commit and per speculative RAS interaction,
     /// drained with [`Core::drain_check_stream`]. Intended for the
     /// `hydra-check` oracles; slows simulation.
-    #[cfg(feature = "commit-stream")]
     pub fn enable_check_stream(&mut self) {
         self.check_stream = Some(Vec::new());
     }
@@ -475,26 +377,19 @@ impl Core {
     /// Moves the recorded check events into `into` (appending), leaving
     /// the internal buffer empty but enabled. Call between bounded
     /// [`Core::run`] windows to keep the buffer small.
-    #[cfg(feature = "commit-stream")]
     pub fn drain_check_stream(&mut self, into: &mut Vec<CheckEvent>) {
         if let Some(buf) = &mut self.check_stream {
             into.append(buf);
         }
     }
 
-    /// Records one check event when the stream is enabled. The
-    /// feature-off twin below compiles every call site away entirely.
-    #[cfg(feature = "commit-stream")]
+    /// Records one check event when the stream is enabled.
     #[inline]
     fn emit_check(&mut self, ev: CheckEvent) {
         if let Some(buf) = &mut self.check_stream {
             buf.push(ev);
         }
     }
-
-    #[cfg(not(feature = "commit-stream"))]
-    #[inline(always)]
-    fn emit_check(&mut self, _ev: CheckEvent) {}
 
     /// Enables pipeline tracing: the lifetimes of the most recent
     /// `capacity` micro-ops are recorded and can be rendered as a stage
@@ -667,12 +562,22 @@ impl Core {
         self.mem_data = mem;
         self.halted = halted;
         self.path_ctx[0] = PathCtx::new(pc);
-        if let Some(g) = &mut self.golden {
-            g.regs = self.regfile;
-            g.mem.copy_from_slice(&self.mem_data);
-            g.pc = pc;
+        if self.golden.is_some() {
+            self.golden = Some(self.golden_at(pc));
         }
         skipped
+    }
+
+    /// A golden-check interpreter at `pc` over the committed registers
+    /// and memory, for re-seating the check after a fast-forward or a
+    /// resume.
+    fn golden_at(&self, pc: Addr) -> ArchState {
+        ArchState {
+            regs: self.regfile,
+            mem: self.mem_data.clone(),
+            pc,
+            halted: self.halted,
+        }
     }
 
     /// Runs until a `halt` commits or `max_commits` instructions have
@@ -852,14 +757,14 @@ impl Core {
                 golden.pc, pc,
                 "commit diverged from golden machine at seq {seq}"
             );
-            let (dest_val, next) = golden.step(inst, self.program.data_words());
-            if let Some(v) = dest_val {
+            let done = golden.execute(inst);
+            if let Some(v) = done.dest_value {
                 assert_eq!(result, Some(v), "result diverged at {pc} ({inst})");
             }
             if inst.control_kind().is_control() {
                 assert_eq!(
                     actual_next_pc,
-                    Some(next),
+                    Some(done.next_pc),
                     "control target diverged at {pc} ({inst})"
                 );
             }
@@ -1981,1234 +1886,6 @@ enum LoadOutcome {
     FromMemory,
 }
 
-// --- snapshot codec -------------------------------------------------------
-//
-// Encode order is CONFIG, ARCH, PREDICTORS, MEMORY, RAS, MACHINE, STATS,
-// GOLDEN. Structure (slab capacity, table geometry, queue bounds) derives
-// from the CONFIG section, so decoding builds a fresh `Core::new` and loads
-// state *in place*: every allocation invariant the constructor establishes
-// (slab capacity, reserved wakeup lists, bounded queues) survives a resume,
-// which is what makes resumed runs byte-identical to straight-through ones.
-//
-// The instruction of each slab micro-op is NOT serialized — only its PC and
-// `wild` flag are, and decode re-derives the instruction from the program
-// image. Free slab slots may therefore decode with a different (stale)
-// instruction than the donor held, which is harmless: `Uop::reset`
-// overwrites every field before a recycled slot is ever read, and since the
-// instruction is never encoded, re-snapshotting still produces identical
-// bytes.
-
-fn encode_addr(w: &mut SnapWriter, a: Addr) {
-    w.u64(a.word());
-}
-
-fn decode_addr(r: &mut SnapReader) -> Result<Addr, SnapError> {
-    Ok(Addr::new(r.u64()?))
-}
-
-fn encode_opt_path(w: &mut SnapWriter, p: Option<PathId>) {
-    match p {
-        Some(p) => {
-            w.bool(true);
-            w.u32(p.index() as u32);
-        }
-        None => w.bool(false),
-    }
-}
-
-fn decode_opt_path(r: &mut SnapReader) -> Result<Option<PathId>, SnapError> {
-    Ok(if r.bool()? {
-        Some(PathId::from_index(r.u32()? as usize))
-    } else {
-        None
-    })
-}
-
-fn encode_lost_cause(w: &mut SnapWriter, c: LostCause) {
-    w.u8(c.index() as u8);
-}
-
-fn decode_lost_cause(r: &mut SnapReader) -> Result<LostCause, SnapError> {
-    let i = r.u8()? as usize;
-    LostCause::ALL
-        .get(i)
-        .copied()
-        .ok_or(SnapError::Corrupt("unknown lost cause"))
-}
-
-fn encode_cache_config(w: &mut SnapWriter, c: &CacheConfig) {
-    w.usize(c.sets);
-    w.usize(c.ways);
-    w.u64(c.line_words);
-}
-
-fn decode_cache_config(r: &mut SnapReader) -> Result<CacheConfig, SnapError> {
-    Ok(CacheConfig {
-        sets: r.usize()?,
-        ways: r.usize()?,
-        line_words: r.u64()?,
-    })
-}
-
-fn encode_return_predictor(w: &mut SnapWriter, p: ReturnPredictor) {
-    match p {
-        ReturnPredictor::Ras { entries, repair } => {
-            w.u8(0);
-            w.usize(entries);
-            crate::ras_unit::encode_repair_policy(w, repair);
-        }
-        ReturnPredictor::SelfCheckpointing { entries } => {
-            w.u8(1);
-            w.usize(entries);
-        }
-        ReturnPredictor::BtbOnly => w.u8(2),
-        ReturnPredictor::Perfect => w.u8(3),
-    }
-}
-
-fn decode_return_predictor(r: &mut SnapReader) -> Result<ReturnPredictor, SnapError> {
-    Ok(match r.u8()? {
-        0 => ReturnPredictor::Ras {
-            entries: r.usize()?,
-            repair: crate::ras_unit::decode_repair_policy(r)?,
-        },
-        1 => ReturnPredictor::SelfCheckpointing {
-            entries: r.usize()?,
-        },
-        2 => ReturnPredictor::BtbOnly,
-        3 => ReturnPredictor::Perfect,
-        _ => return Err(SnapError::Corrupt("unknown return predictor")),
-    })
-}
-
-fn encode_config(w: &mut SnapWriter, c: &CoreConfig) {
-    w.usize(c.fetch_width);
-    w.usize(c.dispatch_width);
-    w.usize(c.issue_width);
-    w.usize(c.commit_width);
-    w.usize(c.ruu_size);
-    w.usize(c.lsq_size);
-    w.usize(c.fetch_queue);
-    w.u64(c.decode_latency);
-    encode_return_predictor(w, c.return_predictor);
-    w.opt_usize(c.checkpoint_budget);
-    w.u32(c.hybrid.global_history_bits);
-    w.usize(c.hybrid.local_history_entries);
-    w.u32(c.hybrid.local_history_bits);
-    w.u32(c.hybrid.chooser_bits);
-    w.usize(c.btb.sets);
-    w.usize(c.btb.ways);
-    w.usize(c.confidence.entries);
-    w.u32(c.confidence.counter_bits);
-    w.u8(c.confidence.threshold);
-    encode_cache_config(w, &c.mem.l1i);
-    encode_cache_config(w, &c.mem.l1d);
-    encode_cache_config(w, &c.mem.l2);
-    w.u64(c.mem.l1_latency);
-    w.u64(c.mem.l2_latency);
-    w.u64(c.mem.memory_latency);
-    w.u64(c.latencies.alu);
-    w.u64(c.latencies.mul);
-    w.u64(c.latencies.div);
-    w.u64(c.latencies.branch);
-    w.u64(c.latencies.agen);
-    match c.multipath {
-        Some(mp) => {
-            w.bool(true);
-            w.usize(mp.max_paths);
-            match mp.stack_policy {
-                MultipathStackPolicy::Unified { repair } => {
-                    w.u8(0);
-                    crate::ras_unit::encode_repair_policy(w, repair);
-                }
-                MultipathStackPolicy::PerPath => w.u8(1),
-            }
-        }
-        None => w.bool(false),
-    }
-    w.u8(c.harts);
-    match c.ras_sharing {
-        RasSharing::Shared => w.u8(0),
-        RasSharing::Partitioned => w.u8(1),
-        RasSharing::Tagged { tag_bits } => {
-            w.u8(2);
-            w.u8(tag_bits);
-        }
-    }
-}
-
-fn decode_config(r: &mut SnapReader) -> Result<CoreConfig, SnapError> {
-    let fetch_width = r.usize()?;
-    let dispatch_width = r.usize()?;
-    let issue_width = r.usize()?;
-    let commit_width = r.usize()?;
-    let ruu_size = r.usize()?;
-    let lsq_size = r.usize()?;
-    let fetch_queue = r.usize()?;
-    let decode_latency = r.u64()?;
-    let return_predictor = decode_return_predictor(r)?;
-    let checkpoint_budget = r.opt_usize()?;
-    let hybrid = HybridConfig {
-        global_history_bits: r.u32()?,
-        local_history_entries: r.usize()?,
-        local_history_bits: r.u32()?,
-        chooser_bits: r.u32()?,
-    };
-    let btb = BtbConfig {
-        sets: r.usize()?,
-        ways: r.usize()?,
-    };
-    let confidence = ConfidenceConfig {
-        entries: r.usize()?,
-        counter_bits: r.u32()?,
-        threshold: r.u8()?,
-    };
-    let l1i = decode_cache_config(r)?;
-    let l1d = decode_cache_config(r)?;
-    let l2 = decode_cache_config(r)?;
-    let mem = HierarchyConfig {
-        l1i,
-        l1d,
-        l2,
-        l1_latency: r.u64()?,
-        l2_latency: r.u64()?,
-        memory_latency: r.u64()?,
-    };
-    let latencies = FuLatencies {
-        alu: r.u64()?,
-        mul: r.u64()?,
-        div: r.u64()?,
-        branch: r.u64()?,
-        agen: r.u64()?,
-    };
-    let multipath = if r.bool()? {
-        let max_paths = r.usize()?;
-        let stack_policy = match r.u8()? {
-            0 => MultipathStackPolicy::Unified {
-                repair: crate::ras_unit::decode_repair_policy(r)?,
-            },
-            1 => MultipathStackPolicy::PerPath,
-            _ => return Err(SnapError::Corrupt("unknown multipath stack policy")),
-        };
-        Some(MultipathConfig {
-            max_paths,
-            stack_policy,
-        })
-    } else {
-        None
-    };
-    let harts = r.u8()?;
-    let ras_sharing = match r.u8()? {
-        0 => RasSharing::Shared,
-        1 => RasSharing::Partitioned,
-        2 => RasSharing::Tagged { tag_bits: r.u8()? },
-        _ => return Err(SnapError::Corrupt("unknown RAS sharing policy")),
-    };
-    Ok(CoreConfig {
-        fetch_width,
-        dispatch_width,
-        issue_width,
-        commit_width,
-        ruu_size,
-        lsq_size,
-        fetch_queue,
-        decode_latency,
-        return_predictor,
-        checkpoint_budget,
-        hybrid,
-        btb,
-        confidence,
-        mem,
-        latencies,
-        multipath,
-        harts,
-        ras_sharing,
-    })
-}
-
-fn encode_cache(w: &mut SnapWriter, c: &Cache) {
-    let (sets, clock, stats) = c.snapshot_state();
-    w.usize(sets.len());
-    for set in &sets {
-        w.usize(set.len());
-        for &(tag, lru) in set {
-            w.u64(tag);
-            w.u64(lru);
-        }
-    }
-    w.u64(clock);
-    w.u64(stats.accesses);
-    w.u64(stats.hits);
-}
-
-fn decode_cache(r: &mut SnapReader, c: &mut Cache) -> Result<(), SnapError> {
-    let n = r.seq_len(8)?;
-    let mut sets = Vec::with_capacity(n);
-    for _ in 0..n {
-        let m = r.seq_len(16)?;
-        let mut set = Vec::with_capacity(m);
-        for _ in 0..m {
-            set.push((r.u64()?, r.u64()?));
-        }
-        sets.push(set);
-    }
-    let clock = r.u64()?;
-    let stats = CacheStats {
-        accesses: r.u64()?,
-        hits: r.u64()?,
-    };
-    if !c.restore_state(&sets, clock, stats) {
-        return Err(SnapError::Corrupt("cache geometry mismatch"));
-    }
-    Ok(())
-}
-
-/// Serializes a memory hierarchy's state (shared by the `System` codec).
-pub(crate) fn encode_memory_state(w: &mut SnapWriter, mem: &MemoryHierarchy) {
-    let (l1i, l1d, l2) = mem.caches();
-    encode_cache(w, l1i);
-    encode_cache(w, l1d);
-    encode_cache(w, l2);
-}
-
-/// Restores a memory hierarchy from [`encode_memory_state`] output.
-pub(crate) fn decode_memory_state(
-    r: &mut SnapReader,
-    mem: &mut MemoryHierarchy,
-) -> Result<(), SnapError> {
-    let (l1i, l1d, l2) = mem.caches_mut();
-    decode_cache(r, l1i)?;
-    decode_cache(r, l1d)?;
-    decode_cache(r, l2)
-}
-
-fn encode_histogram(w: &mut SnapWriter, h: &Histogram) {
-    let (buckets, overflow, total, sum, max) = h.raw_parts();
-    w.seq_u64(buckets);
-    w.u64(overflow);
-    w.u64(total);
-    w.u128(sum);
-    w.opt_u64(max);
-}
-
-fn decode_histogram(r: &mut SnapReader, expect_cap: usize) -> Result<Histogram, SnapError> {
-    let buckets = r.seq_u64()?;
-    if buckets.len() != expect_cap {
-        return Err(SnapError::Corrupt("histogram capacity mismatch"));
-    }
-    let overflow = r.u64()?;
-    let total = r.u64()?;
-    let sum = r.u128()?;
-    let max = r.opt_u64()?;
-    Histogram::from_raw_parts(buckets, overflow, total, sum, max)
-        .ok_or(SnapError::Corrupt("inconsistent histogram"))
-}
-
-fn encode_uop(w: &mut SnapWriter, u: &Uop) {
-    w.u64(u.seq);
-    w.u32(u.path.index() as u32);
-    encode_addr(w, u.pc);
-    w.bool(u.wild);
-    encode_addr(w, u.pred_next_pc);
-    match &u.dir_pred {
-        Some(d) => {
-            w.bool(true);
-            w.bool(d.taken);
-            w.bool(d.gag_taken);
-            w.bool(d.pag_taken);
-            w.bool(d.chose_gag);
-            let (gag, pag, chooser, local) = d.index_parts();
-            w.usize(gag);
-            w.usize(pag);
-            w.usize(chooser);
-            w.usize(local);
-        }
-        None => w.bool(false),
-    }
-    w.opt_u64(u.history_at_fetch);
-    match &u.ras_ckpt {
-        Some(h) => {
-            w.bool(true);
-            RasUnit::encode_handle(h, w);
-        }
-        None => w.bool(false),
-    }
-    match u.return_source {
-        Some(s) => {
-            w.bool(true);
-            w.u8(match s {
-                ReturnSource::Ras => 0,
-                ReturnSource::Btb => 1,
-                ReturnSource::Fallthrough => 2,
-                ReturnSource::Oracle => 3,
-            });
-        }
-        None => w.bool(false),
-    }
-    encode_opt_path(w, u.forked_child);
-    for s in &u.srcs {
-        match s {
-            Src::None => w.u8(0),
-            Src::Value(v) => {
-                w.u8(1);
-                w.i64(*v);
-            }
-            // The slot is derived: decode recovers it from the slab.
-            Src::Pending { seq, .. } => {
-                w.u8(2);
-                w.u64(*seq);
-            }
-        }
-    }
-    match u.state {
-        UopState::Waiting => w.u8(0),
-        UopState::Issued { done_at } => {
-            w.u8(1);
-            w.u64(done_at);
-        }
-        UopState::Done => w.u8(2),
-    }
-    w.opt_i64(u.result);
-    match u.actual_next_pc {
-        Some(a) => {
-            w.bool(true);
-            encode_addr(w, a);
-        }
-        None => w.bool(false),
-    }
-    match u.taken_actual {
-        Some(b) => {
-            w.bool(true);
-            w.bool(b);
-        }
-        None => w.bool(false),
-    }
-    w.opt_u64(u.mem_addr);
-    w.opt_i64(u.store_value);
-    w.bool(u.squashed);
-    w.bool(u.resolved);
-    // The wakeup list's *capacity* is behavioral (it sets the compaction
-    // trigger in rename), so it round-trips exactly alongside the
-    // contents.
-    w.usize(u.consumers.capacity());
-    w.usize(u.consumers.len());
-    for &(slot, idx) in &u.consumers {
-        w.u32(slot);
-        w.u8(idx);
-    }
-    w.u32(u.lsq_slot);
-    w.u8(u.pop_flags);
-    encode_lost_cause(w, u.squash_cause);
-}
-
-/// Generous upper bound on a plausible wakeup-list capacity; genuine
-/// capacities start at `2 * ruu_size` and double rarely, so anything past
-/// this is a hostile count that would only bloat allocation before the
-/// checksum-validated decode inevitably fails elsewhere.
-const MAX_CONSUMERS_CAP: usize = 1 << 24;
-
-fn decode_uop(r: &mut SnapReader, program: &Program, ras: &RasUnit) -> Result<Uop, SnapError> {
-    let seq = r.u64()?;
-    let path = PathId::from_index(r.u32()? as usize);
-    let pc = decode_addr(r)?;
-    let wild = r.bool()?;
-    let inst = if wild {
-        Inst::Nop
-    } else {
-        program
-            .fetch(pc)
-            .ok_or(SnapError::Corrupt("micro-op PC outside program image"))?
-    };
-    let pred_next_pc = decode_addr(r)?;
-    let dir_pred = if r.bool()? {
-        let taken = r.bool()?;
-        let gag_taken = r.bool()?;
-        let pag_taken = r.bool()?;
-        let chose_gag = r.bool()?;
-        let gag = r.usize()?;
-        let pag = r.usize()?;
-        let chooser = r.usize()?;
-        let local = r.usize()?;
-        Some(DirectionPrediction::from_snapshot_parts(
-            taken, gag_taken, pag_taken, chose_gag, gag, pag, chooser, local,
-        ))
-    } else {
-        None
-    };
-    let history_at_fetch = r.opt_u64()?;
-    let ras_ckpt = if r.bool()? {
-        let handle = ras.decode_handle(r)?;
-        if test_faults::skip_ras_restore() {
-            None // injected restore bug for the differential fuzz tier
-        } else {
-            Some(handle)
-        }
-    } else {
-        None
-    };
-    let return_source = if r.bool()? {
-        Some(match r.u8()? {
-            0 => ReturnSource::Ras,
-            1 => ReturnSource::Btb,
-            2 => ReturnSource::Fallthrough,
-            3 => ReturnSource::Oracle,
-            _ => return Err(SnapError::Corrupt("unknown return source")),
-        })
-    } else {
-        None
-    };
-    let forked_child = decode_opt_path(r)?;
-    let mut srcs = [Src::None, Src::None];
-    for s in &mut srcs {
-        *s = match r.u8()? {
-            0 => Src::None,
-            1 => Src::Value(r.i64()?),
-            2 => Src::Pending {
-                seq: r.u64()?,
-                slot: NIL,
-            },
-            _ => return Err(SnapError::Corrupt("unknown operand kind")),
-        };
-    }
-    let state = match r.u8()? {
-        0 => UopState::Waiting,
-        1 => UopState::Issued { done_at: r.u64()? },
-        2 => UopState::Done,
-        _ => return Err(SnapError::Corrupt("unknown micro-op state")),
-    };
-    let result = r.opt_i64()?;
-    let actual_next_pc = if r.bool()? {
-        Some(decode_addr(r)?)
-    } else {
-        None
-    };
-    let taken_actual = if r.bool()? { Some(r.bool()?) } else { None };
-    let mem_addr = r.opt_u64()?;
-    let store_value = r.opt_i64()?;
-    let squashed = r.bool()?;
-    let resolved = r.bool()?;
-    let cap = r.usize()?;
-    if cap > MAX_CONSUMERS_CAP {
-        return Err(SnapError::Corrupt("implausible wakeup-list capacity"));
-    }
-    let n = r.seq_len(5)?;
-    if n > cap {
-        return Err(SnapError::Corrupt("wakeup list longer than its capacity"));
-    }
-    let mut consumers = Vec::with_capacity(cap);
-    for _ in 0..n {
-        consumers.push((r.u32()?, r.u8()?));
-    }
-    let lsq_slot = r.u32()?;
-    let pop_flags = r.u8()?;
-    let squash_cause = decode_lost_cause(r)?;
-    Ok(Uop {
-        seq,
-        path,
-        pc,
-        inst,
-        wild,
-        pred_next_pc,
-        dir_pred,
-        history_at_fetch,
-        ras_ckpt,
-        return_source,
-        forked_child,
-        srcs,
-        state,
-        result,
-        actual_next_pc,
-        taken_actual,
-        mem_addr,
-        store_value,
-        squashed,
-        resolved,
-        in_ruu: false,
-        consumers,
-        lsq_slot,
-        pop_flags,
-        squash_cause,
-    })
-}
-
-fn encode_lsq(w: &mut SnapWriter, l: &Lsq) {
-    w.usize(l.entries.len());
-    for e in &l.entries {
-        w.u64(e.seq);
-        w.u32(e.path.index() as u32);
-        w.bool(e.is_store);
-        w.opt_u64(e.addr);
-        w.opt_i64(e.value);
-        w.bool(e.squashed);
-    }
-    for &n in &l.next {
-        w.u32(n);
-    }
-    for &p in &l.prev {
-        w.u32(p);
-    }
-    w.u32(l.head);
-    w.u32(l.tail);
-    w.usize(l.free.len());
-    for &f in &l.free {
-        w.u32(f);
-    }
-    w.usize(l.len);
-}
-
-fn decode_lsq(r: &mut SnapReader, capacity: usize) -> Result<Lsq, SnapError> {
-    let n = r.seq_len(16)?;
-    if n != capacity {
-        return Err(SnapError::Corrupt("LSQ capacity mismatch"));
-    }
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        entries.push(LsqEntry {
-            seq: r.u64()?,
-            path: PathId::from_index(r.u32()? as usize),
-            is_store: r.bool()?,
-            addr: r.opt_u64()?,
-            value: r.opt_i64()?,
-            squashed: r.bool()?,
-        });
-    }
-    let in_range = |s: u32| s == NIL || (s as usize) < capacity;
-    let mut next = Vec::with_capacity(n);
-    for _ in 0..n {
-        next.push(r.u32()?);
-    }
-    let mut prev = Vec::with_capacity(n);
-    for _ in 0..n {
-        prev.push(r.u32()?);
-    }
-    let head = r.u32()?;
-    let tail = r.u32()?;
-    let nf = r.seq_len(4)?;
-    if nf > capacity {
-        return Err(SnapError::Corrupt("LSQ free list overflow"));
-    }
-    let mut free = Vec::with_capacity(capacity);
-    for _ in 0..nf {
-        free.push(r.u32()?);
-    }
-    let len = r.usize()?;
-    if len != capacity - free.len() {
-        return Err(SnapError::Corrupt("LSQ occupancy mismatch"));
-    }
-    if next
-        .iter()
-        .chain(prev.iter())
-        .chain(free.iter())
-        .chain([head, tail].iter())
-        .any(|&s| !in_range(s))
-    {
-        return Err(SnapError::Corrupt("LSQ link out of range"));
-    }
-    if free.contains(&NIL) {
-        return Err(SnapError::Corrupt("LSQ link out of range"));
-    }
-    Ok(Lsq {
-        entries,
-        next,
-        prev,
-        head,
-        tail,
-        free,
-        len,
-    })
-}
-
-impl Core {
-    /// Serializes the complete machine state — architectural registers
-    /// and memory, predictor tables, cache tags, the return-address
-    /// stacks with every in-flight checkpoint handle, the micro-op slab,
-    /// RUU/LSQ/fetch-queue links, path tree, statistics and golden-check
-    /// position — into the versioned binary snapshot format.
-    ///
-    /// The program image is *not* embedded; [`Core::resume`] takes it as
-    /// an argument and validates its fingerprint. Pipeline tracing and
-    /// the differential check stream are not captured: both restore
-    /// disabled and can be re-enabled on the resumed core.
-    ///
-    /// Resuming the snapshot continues the simulation **byte-identically**
-    /// to the donor: same commit stream, same statistics, and a
-    /// re-snapshot at any later point produces the same bytes the donor
-    /// would have.
-    pub fn save_snapshot(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new(KIND_CORE);
-        self.encode_sections(&mut w);
-        w.finish()
-    }
-
-    /// Writes the eight core sections (shared with the `System` codec).
-    pub(crate) fn encode_sections(&self, w: &mut SnapWriter) {
-        let m = w.begin_section(TAG_CONFIG);
-        encode_config(w, &self.config);
-        w.end_section(m);
-
-        let m = w.begin_section(TAG_ARCH);
-        self.encode_arch(w);
-        w.end_section(m);
-
-        let m = w.begin_section(TAG_PREDICTORS);
-        self.encode_predictors(w);
-        w.end_section(m);
-
-        let m = w.begin_section(TAG_MEMORY);
-        encode_memory_state(w, &self.memory);
-        w.end_section(m);
-
-        let m = w.begin_section(TAG_RAS);
-        self.ras.encode_state(w);
-        w.end_section(m);
-
-        let m = w.begin_section(TAG_MACHINE);
-        self.encode_machine(w);
-        w.end_section(m);
-
-        let m = w.begin_section(TAG_STATS);
-        self.encode_stats_section(w);
-        w.end_section(m);
-
-        let m = w.begin_section(TAG_GOLDEN);
-        match &self.golden {
-            Some(g) => {
-                w.bool(true);
-                encode_addr(w, g.pc);
-            }
-            None => w.bool(false),
-        }
-        w.end_section(m);
-    }
-
-    /// Reconstructs a core from [`Core::save_snapshot`] bytes and the
-    /// program image the donor was running.
-    ///
-    /// # Errors
-    ///
-    /// Any malformed, truncated, corrupted, or version-skewed buffer
-    /// yields a typed [`SnapError`]; the decoder never panics on
-    /// untrusted bytes. A snapshot taken from a different program image
-    /// is rejected by fingerprint.
-    pub fn resume(bytes: &[u8], program: &Program) -> Result<Core, SnapError> {
-        let (mut r, kind) = SnapReader::new(bytes)?;
-        match kind {
-            KIND_CORE => {}
-            KIND_SYSTEM => {
-                return Err(SnapError::Corrupt(
-                    "this is a system snapshot; use System::resume",
-                ))
-            }
-            _ => return Err(SnapError::Corrupt("unknown snapshot kind")),
-        }
-        let config = Core::decode_config_section(&mut r)?;
-        let mut core = Core::new(config, program);
-        core.decode_sections(&mut r)?;
-        r.expect_end()?;
-        Ok(core)
-    }
-
-    /// Forks a *quiescent* snapshot (taken right after
-    /// [`Core::fast_forward`], before any cycle simulated) onto a
-    /// different machine configuration: the architectural state —
-    /// registers, data memory, fetch PC, halted flag, golden-check
-    /// enablement — carries over, while the microarchitecture starts
-    /// cold under `config`. This is the warm-start sweep primitive: one
-    /// functional fast-forward, many machine configurations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapError::Corrupt`] when the snapshot is not quiescent
-    /// (it has simulated cycles or holds in-flight state), plus every
-    /// decode error [`Core::resume`] can report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` itself is structurally invalid (same contract
-    /// as [`Core::new`]; the snapshot bytes never panic).
-    pub fn resume_reconfigured(
-        bytes: &[u8],
-        program: &Program,
-        config: CoreConfig,
-    ) -> Result<Core, SnapError> {
-        config.validate();
-        let donor = Core::resume(bytes, program)?;
-        if donor.cycle != 0
-            || donor.next_seq != 1
-            || !donor.fetch_queue.is_empty()
-            || !donor.ruu.is_empty()
-            || donor.lsq.len() != 0
-            || donor.paths.path_count() != 1
-        {
-            return Err(SnapError::Corrupt(
-                "resume_reconfigured needs a quiescent (fast-forward) snapshot",
-            ));
-        }
-        let mut core = Core::new(config, program);
-        core.regfile = donor.regfile;
-        core.mem_data = donor.mem_data;
-        core.halted = donor.halted;
-        core.path_ctx[0] = PathCtx::new(donor.path_ctx[0].fetch_pc);
-        if donor.golden.is_some() {
-            let mut g = GoldenMachine::new(program);
-            g.regs = core.regfile;
-            g.mem.copy_from_slice(&core.mem_data);
-            g.pc = core.path_ctx[0].fetch_pc;
-            core.golden = Some(g);
-        }
-        Ok(core)
-    }
-
-    /// Reads the CONFIG section and validates the decoded configuration
-    /// (shared with the `System` codec).
-    pub(crate) fn decode_config_section(r: &mut SnapReader) -> Result<CoreConfig, SnapError> {
-        let end = r.expect_section(TAG_CONFIG)?;
-        let config = decode_config(r)?;
-        r.end_section(end)?;
-        config
-            .check()
-            .map_err(|_| SnapError::Corrupt("snapshot carries an invalid configuration"))?;
-        Ok(config)
-    }
-
-    /// Decodes the seven post-CONFIG sections into a freshly constructed
-    /// core (shared with the `System` codec).
-    pub(crate) fn decode_sections(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let end = r.expect_section(TAG_ARCH)?;
-        self.decode_arch(r)?;
-        r.end_section(end)?;
-
-        let end = r.expect_section(TAG_PREDICTORS)?;
-        self.decode_predictors(r)?;
-        r.end_section(end)?;
-
-        let end = r.expect_section(TAG_MEMORY)?;
-        decode_memory_state(r, &mut self.memory)?;
-        r.end_section(end)?;
-
-        let end = r.expect_section(TAG_RAS)?;
-        self.ras = RasUnit::decode_state(r, &self.config)?;
-        r.end_section(end)?;
-
-        let end = r.expect_section(TAG_MACHINE)?;
-        self.decode_machine(r)?;
-        r.end_section(end)?;
-
-        let end = r.expect_section(TAG_STATS)?;
-        self.decode_stats_section(r)?;
-        r.end_section(end)?;
-
-        let end = r.expect_section(TAG_GOLDEN)?;
-        if r.bool()? {
-            let pc = decode_addr(r)?;
-            let mut g = GoldenMachine::new(&self.program);
-            g.regs = self.regfile;
-            g.mem.copy_from_slice(&self.mem_data);
-            g.pc = pc;
-            self.golden = Some(g);
-        }
-        r.end_section(end)?;
-        Ok(())
-    }
-
-    fn encode_arch(&self, w: &mut SnapWriter) {
-        w.u64(self.program.fingerprint());
-        w.u64(self.program.data_words());
-        for &v in &self.regfile {
-            w.i64(v);
-        }
-        w.usize(self.mem_data.len());
-        for &v in &self.mem_data {
-            w.i64(v);
-        }
-        w.bool(self.halted);
-    }
-
-    fn decode_arch(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        if r.u64()? != self.program.fingerprint() {
-            return Err(SnapError::Corrupt(
-                "snapshot was taken from a different program image",
-            ));
-        }
-        if r.u64()? != self.program.data_words() {
-            return Err(SnapError::Corrupt("data-memory size mismatch"));
-        }
-        for slot in &mut self.regfile {
-            *slot = r.i64()?;
-        }
-        let n = r.seq_len(8)?;
-        if n != self.mem_data.len() {
-            return Err(SnapError::Corrupt("data-memory size mismatch"));
-        }
-        for slot in &mut self.mem_data {
-            *slot = r.i64()?;
-        }
-        self.halted = r.bool()?;
-        Ok(())
-    }
-
-    fn encode_predictors(&self, w: &mut SnapWriter) {
-        let hs = self.hybrid.snapshot_state();
-        w.seq_u8(&hs.gag);
-        w.usize(hs.pag_histories.len());
-        for &h in &hs.pag_histories {
-            w.u32(h);
-        }
-        w.seq_u8(&hs.pag_pht);
-        w.seq_u8(&hs.chooser);
-        w.u64(hs.global_history);
-
-        let (sets, clock, hits, lookups) = self.btb.snapshot_state();
-        w.usize(sets.len());
-        for set in &sets {
-            w.usize(set.len());
-            for &(tag, target, lru) in set {
-                w.u64(tag);
-                encode_addr(w, target);
-                w.u64(lru);
-            }
-        }
-        w.u64(clock);
-        w.u64(hits);
-        w.u64(lookups);
-
-        w.seq_u8(&self.confidence.snapshot_state());
-    }
-
-    fn decode_predictors(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let gag = r.seq_u8()?;
-        let n = r.seq_len(4)?;
-        let mut pag_histories = Vec::with_capacity(n);
-        for _ in 0..n {
-            pag_histories.push(r.u32()?);
-        }
-        let pag_pht = r.seq_u8()?;
-        let chooser = r.seq_u8()?;
-        let global_history = r.u64()?;
-        let state = HybridState {
-            gag,
-            pag_histories,
-            pag_pht,
-            chooser,
-            global_history,
-        };
-        if !self.hybrid.restore_state(&state) {
-            return Err(SnapError::Corrupt("hybrid predictor geometry mismatch"));
-        }
-
-        let n = r.seq_len(8)?;
-        let mut sets = Vec::with_capacity(n);
-        for _ in 0..n {
-            let m = r.seq_len(24)?;
-            let mut set = Vec::with_capacity(m);
-            for _ in 0..m {
-                set.push((r.u64()?, decode_addr(r)?, r.u64()?));
-            }
-            sets.push(set);
-        }
-        let clock = r.u64()?;
-        let hits = r.u64()?;
-        let lookups = r.u64()?;
-        if !self.btb.restore_state(&sets, clock, hits, lookups) {
-            return Err(SnapError::Corrupt("BTB geometry mismatch"));
-        }
-
-        let conf = r.seq_u8()?;
-        if !self.confidence.restore_state(&conf) {
-            return Err(SnapError::Corrupt("confidence table mismatch"));
-        }
-        Ok(())
-    }
-
-    fn encode_machine(&self, w: &mut SnapWriter) {
-        w.u8(self.hart.index() as u8);
-        w.u64(self.cycle);
-        w.u64(self.next_seq);
-        w.u64(self.cycle_base);
-        w.u64(self.last_commit_cycle);
-        w.usize(self.fetch_rotor);
-        match self.pending_refill {
-            Some(c) => {
-                w.bool(true);
-                encode_lost_cause(w, c);
-            }
-            None => w.bool(false),
-        }
-
-        w.usize(self.paths.max_live());
-        w.usize(self.paths.path_count());
-        for (parent, fork_seq, alive) in self.paths.snapshot_rows() {
-            encode_opt_path(w, parent);
-            w.u64(fork_seq);
-            w.bool(alive);
-        }
-
-        w.usize(self.path_ctx.len());
-        for ctx in &self.path_ctx {
-            encode_addr(w, ctx.fetch_pc);
-            w.u64(ctx.stall_until);
-            w.bool(ctx.fetch_stopped);
-            for m in &ctx.map {
-                match m {
-                    Some(e) => {
-                        w.bool(true);
-                        w.u64(e.seq);
-                        w.u32(e.slot);
-                    }
-                    None => w.bool(false),
-                }
-            }
-            w.u64(ctx.history);
-        }
-
-        w.usize(self.slab.len());
-        for u in &self.slab {
-            encode_uop(w, u);
-        }
-        w.usize(self.slab_free.len());
-        for &s in &self.slab_free {
-            w.u32(s);
-        }
-
-        w.usize(self.fetch_queue.len());
-        for &(ready_at, slot) in &self.fetch_queue {
-            w.u64(ready_at);
-            w.u32(slot);
-        }
-        w.usize(self.ruu.len());
-        for &slot in &self.ruu {
-            w.u32(slot);
-        }
-        encode_lsq(w, &self.lsq);
-    }
-
-    fn decode_machine(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let hart = r.u8()?;
-        if hart >= self.config.harts {
-            return Err(SnapError::Corrupt("hart index out of range"));
-        }
-        self.hart = HartId::new(hart);
-        self.cycle = r.u64()?;
-        self.next_seq = r.u64()?;
-        self.cycle_base = r.u64()?;
-        self.last_commit_cycle = r.u64()?;
-        self.fetch_rotor = r.usize()?;
-        self.pending_refill = if r.bool()? {
-            Some(decode_lost_cause(r)?)
-        } else {
-            None
-        };
-
-        let max_live = r.usize()?;
-        let expected_max = self.config.multipath.map(|m| m.max_paths).unwrap_or(1);
-        if max_live != expected_max {
-            return Err(SnapError::Corrupt("path capacity does not match config"));
-        }
-        let nrows = r.seq_len(10)?;
-        let mut rows = Vec::with_capacity(nrows);
-        for _ in 0..nrows {
-            rows.push((decode_opt_path(r)?, r.u64()?, r.bool()?));
-        }
-        self.paths = PathTable::from_snapshot_rows(rows, max_live)
-            .ok_or(SnapError::Corrupt("inconsistent path table"))?;
-
-        let nctx = r.seq_len(25 + Reg::COUNT)?;
-        if nctx != self.paths.path_count() {
-            return Err(SnapError::Corrupt("path context count mismatch"));
-        }
-        let mut ctxs = Vec::with_capacity(nctx);
-        for _ in 0..nctx {
-            let fetch_pc = decode_addr(r)?;
-            let stall_until = r.u64()?;
-            let fetch_stopped = r.bool()?;
-            let mut map = [None; Reg::COUNT];
-            for m in &mut map {
-                if r.bool()? {
-                    *m = Some(MapEntry {
-                        seq: r.u64()?,
-                        slot: r.u32()?,
-                    });
-                }
-            }
-            let history = r.u64()?;
-            ctxs.push(PathCtx {
-                fetch_pc,
-                stall_until,
-                fetch_stopped,
-                map,
-                history,
-            });
-        }
-        self.path_ctx = ctxs;
-
-        let slab_cap = self.config.fetch_queue + self.config.ruu_size;
-        let in_range = |s: u32| (s as usize) < slab_cap;
-        let nslab = r.seq_len(64)?;
-        if nslab != slab_cap {
-            return Err(SnapError::Corrupt("slab capacity mismatch"));
-        }
-        let mut slab = Vec::with_capacity(nslab);
-        for _ in 0..nslab {
-            slab.push(decode_uop(r, &self.program, &self.ras)?);
-        }
-        self.slab = slab;
-        let nfree = r.seq_len(4)?;
-        if nfree > slab_cap {
-            return Err(SnapError::Corrupt("slab free list overflow"));
-        }
-        let mut slab_free = Vec::with_capacity(slab_cap);
-        for _ in 0..nfree {
-            let s = r.u32()?;
-            if !in_range(s) {
-                return Err(SnapError::Corrupt("slab index out of range"));
-            }
-            slab_free.push(s);
-        }
-        self.slab_free = slab_free;
-
-        self.fetch_queue.clear();
-        let nfq = r.seq_len(12)?;
-        if nfq > self.config.fetch_queue {
-            return Err(SnapError::Corrupt("fetch queue overflow"));
-        }
-        for _ in 0..nfq {
-            let ready_at = r.u64()?;
-            let slot = r.u32()?;
-            if !in_range(slot) {
-                return Err(SnapError::Corrupt("slab index out of range"));
-            }
-            self.fetch_queue.push_back((ready_at, slot));
-        }
-        self.ruu.clear();
-        let nruu = r.seq_len(4)?;
-        if nruu > self.config.ruu_size {
-            return Err(SnapError::Corrupt("RUU overflow"));
-        }
-        for _ in 0..nruu {
-            let slot = r.u32()?;
-            if !in_range(slot) {
-                return Err(SnapError::Corrupt("slab index out of range"));
-            }
-            self.ruu.push_back(slot);
-        }
-        self.lsq = decode_lsq(r, self.config.lsq_size)?;
-        self.rebuild_derived();
-        Ok(())
-    }
-
-    /// Rebuilds the state a snapshot leaves out: operand producer slots,
-    /// RUU membership and the ready list. Seqs are unique per core and a
-    /// freed slot keeps its seq until reuse, so a pending operand's
-    /// producer is the one slab entry carrying that seq; one no longer in
-    /// the slab keeps [`NIL`] and reads as a departed producer.
-    fn rebuild_derived(&mut self) {
-        for c in 0..self.slab.len() {
-            for i in 0..2 {
-                if let Src::Pending { seq, .. } = self.slab[c].srcs[i] {
-                    let slot = self
-                        .slab
-                        .iter()
-                        .position(|p| p.seq == seq)
-                        .map_or(NIL, |p| p as u32);
-                    self.slab[c].srcs[i] = Src::Pending { seq, slot };
-                }
-            }
-        }
-        for i in 0..self.ruu.len() {
-            let slot = self.ruu[i];
-            self.slab[slot as usize].in_ruu = true;
-        }
-        self.ready.clear();
-        for i in 0..self.ruu.len() {
-            let slot = self.ruu[i];
-            if self.is_ready(slot) {
-                self.list_ready(self.slab[slot as usize].seq, slot);
-            }
-        }
-    }
-
-    fn encode_stats_section(&self, w: &mut SnapWriter) {
-        let s = &self.stats;
-        for v in [
-            s.cycles,
-            s.committed,
-            s.fetched_uops,
-            s.squashed_uops,
-            s.cond_branches,
-            s.cond_mispredictions,
-            s.target_mispredictions,
-            s.calls,
-            s.returns,
-            s.return_hits,
-            s.return_hits_ras,
-            s.return_hits_btb,
-            s.return_no_prediction,
-            s.ras_pushes,
-            s.ras_pops,
-            s.ras_overflows,
-            s.ras_underflows,
-            s.ras_restores,
-            s.checkpoint_budget_misses,
-            s.forks,
-            s.max_live_paths,
-            s.l1i_accesses,
-            s.l1i_hits,
-            s.l1d_accesses,
-            s.l1d_hits,
-        ] {
-            w.u64(v);
-        }
-        for cause in LostCause::ALL {
-            w.u64(self.cpi.get(cause));
-        }
-        encode_histogram(w, &self.occupancy.ruu);
-        encode_histogram(w, &self.occupancy.lsq);
-        encode_histogram(w, &self.occupancy.fetch_queue);
-        encode_histogram(w, &self.occupancy.live_paths);
-    }
-
-    fn decode_stats_section(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.stats = SimStats {
-            cycles: r.u64()?,
-            committed: r.u64()?,
-            fetched_uops: r.u64()?,
-            squashed_uops: r.u64()?,
-            cond_branches: r.u64()?,
-            cond_mispredictions: r.u64()?,
-            target_mispredictions: r.u64()?,
-            calls: r.u64()?,
-            returns: r.u64()?,
-            return_hits: r.u64()?,
-            return_hits_ras: r.u64()?,
-            return_hits_btb: r.u64()?,
-            return_no_prediction: r.u64()?,
-            ras_pushes: r.u64()?,
-            ras_pops: r.u64()?,
-            ras_overflows: r.u64()?,
-            ras_underflows: r.u64()?,
-            ras_restores: r.u64()?,
-            checkpoint_budget_misses: r.u64()?,
-            forks: r.u64()?,
-            max_live_paths: r.u64()?,
-            l1i_accesses: r.u64()?,
-            l1i_hits: r.u64()?,
-            l1d_accesses: r.u64()?,
-            l1d_hits: r.u64()?,
-        };
-        let mut cpi = CpiStack::default();
-        for cause in LostCause::ALL {
-            cpi.charge(cause, r.u64()?);
-        }
-        self.cpi = cpi;
-        let max_paths = self.config.multipath.map(|m| m.max_paths).unwrap_or(1);
-        self.occupancy.ruu = decode_histogram(r, self.config.ruu_size + 1)?;
-        self.occupancy.lsq = decode_histogram(r, self.config.lsq_size + 1)?;
-        self.occupancy.fetch_queue = decode_histogram(r, self.config.fetch_queue + 1)?;
-        self.occupancy.live_paths = decode_histogram(r, max_paths + 1)?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -4102,6 +2779,7 @@ mod occupancy_tests {
 mod ready_list_tests {
     use super::*;
     use hydra_workloads::{Workload, WorkloadSpec};
+    use ras_core::MultipathStackPolicy;
 
     /// The derived state a resume must rebuild: the ready list, RUU
     /// membership, and every pending operand's producer slot.

@@ -16,13 +16,14 @@
 //! (idealized: validation guarantees the tag field addresses every
 //! hart, so tags never alias).
 
+mod codec;
+
 use crate::config::{CoreConfig, RasSharing, ReturnPredictor};
 use crate::path::{HartId, PathId};
-use crate::snapshot::{SnapError, SnapReader, SnapWriter};
 use hydra_obs::{popflags, CauseHistogram, MispredictCause};
 use ras_core::{
-    CheckpointBudget, Entry, LinkCheckpoint, LinkEntry, RasCheckpoint, RepairPolicy,
-    ReturnAddressStack, SavedContents, SelfCheckpointingStack,
+    CheckpointBudget, LinkCheckpoint, RasCheckpoint, RepairPolicy, ReturnAddressStack,
+    SelfCheckpointingStack,
 };
 use std::collections::HashMap;
 
@@ -619,438 +620,6 @@ impl RasUnit {
             Mode::Off | Mode::Oracle { .. } => {}
         }
         out
-    }
-}
-
-// --- snapshot codec -------------------------------------------------------
-//
-// The unit's *structure* (mode, per-path vs. unified, hart keying, budget
-// capacity) is deterministic from the CoreConfig, so only *state* is
-// serialized: stack contents, in-flight budget count, statistics and
-// forensics. The allocation pools are caches and restore empty. HashMaps
-// are written sorted by key so identical states always produce identical
-// bytes — the property the byte-identity differential tier rests on.
-
-fn encode_ras_stats(w: &mut SnapWriter, s: &ras_core::RasStats) {
-    w.u64(s.pushes);
-    w.u64(s.pops);
-    w.u64(s.overflows);
-    w.u64(s.underflows);
-    w.u64(s.checkpoints);
-    w.u64(s.restores);
-}
-
-fn decode_ras_stats(r: &mut SnapReader) -> Result<ras_core::RasStats, SnapError> {
-    Ok(ras_core::RasStats {
-        pushes: r.u64()?,
-        pops: r.u64()?,
-        overflows: r.u64()?,
-        underflows: r.u64()?,
-        checkpoints: r.u64()?,
-        restores: r.u64()?,
-    })
-}
-
-fn encode_entry(w: &mut SnapWriter, e: &Entry) {
-    w.u64(e.addr);
-    w.u64(e.seq);
-    w.bool(e.valid);
-}
-
-fn decode_entry(r: &mut SnapReader) -> Result<Entry, SnapError> {
-    Ok(Entry {
-        addr: r.u64()?,
-        seq: r.u64()?,
-        valid: r.bool()?,
-    })
-}
-
-pub(crate) fn encode_repair_policy(w: &mut SnapWriter, p: RepairPolicy) {
-    match p {
-        RepairPolicy::None => w.u8(0),
-        RepairPolicy::ValidBits => w.u8(1),
-        RepairPolicy::TosPointer => w.u8(2),
-        RepairPolicy::TosPointerAndContents => w.u8(3),
-        RepairPolicy::TopContents { k } => {
-            w.u8(4);
-            w.usize(k);
-        }
-        RepairPolicy::FullStack => w.u8(5),
-    }
-}
-
-pub(crate) fn decode_repair_policy(r: &mut SnapReader) -> Result<RepairPolicy, SnapError> {
-    Ok(match r.u8()? {
-        0 => RepairPolicy::None,
-        1 => RepairPolicy::ValidBits,
-        2 => RepairPolicy::TosPointer,
-        3 => RepairPolicy::TosPointerAndContents,
-        4 => RepairPolicy::TopContents { k: r.usize()? },
-        5 => RepairPolicy::FullStack,
-        _ => return Err(SnapError::Corrupt("unknown repair policy")),
-    })
-}
-
-fn encode_real_stack(w: &mut SnapWriter, s: &ReturnAddressStack) {
-    let (entries, tos, depth, next_seq, stats) = s.snapshot_parts();
-    w.usize(entries.len());
-    for e in entries {
-        encode_entry(w, e);
-    }
-    w.usize(tos);
-    w.usize(depth);
-    w.u64(next_seq);
-    encode_ras_stats(w, &stats);
-}
-
-fn decode_real_stack(r: &mut SnapReader, capacity: usize) -> Result<ReturnAddressStack, SnapError> {
-    let n = r.seq_len(17)?;
-    if n != capacity {
-        return Err(SnapError::Corrupt("RAS capacity mismatch"));
-    }
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        entries.push(decode_entry(r)?);
-    }
-    let tos = r.usize()?;
-    let depth = r.usize()?;
-    let next_seq = r.u64()?;
-    let stats = decode_ras_stats(r)?;
-    ReturnAddressStack::from_snapshot_parts(entries, tos, depth, next_seq, stats)
-        .ok_or(SnapError::Corrupt("inconsistent RAS state"))
-}
-
-fn encode_jourdan_stack(w: &mut SnapWriter, s: &SelfCheckpointingStack) {
-    let (entries, tos, alloc, next_seq, stats) = s.snapshot_parts();
-    w.usize(entries.len());
-    for e in entries {
-        w.u64(e.addr);
-        w.usize(e.below);
-        w.u64(e.seq);
-    }
-    w.usize(tos);
-    w.usize(alloc);
-    w.u64(next_seq);
-    encode_ras_stats(w, &stats);
-}
-
-fn decode_jourdan_stack(
-    r: &mut SnapReader,
-    capacity: usize,
-) -> Result<SelfCheckpointingStack, SnapError> {
-    let n = r.seq_len(24)?;
-    if n != capacity {
-        return Err(SnapError::Corrupt("self-checkpointing capacity mismatch"));
-    }
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        entries.push(LinkEntry {
-            addr: r.u64()?,
-            below: r.usize()?,
-            seq: r.u64()?,
-        });
-    }
-    let tos = r.usize()?;
-    let alloc = r.usize()?;
-    let next_seq = r.u64()?;
-    let stats = decode_ras_stats(r)?;
-    SelfCheckpointingStack::from_snapshot_parts(entries, tos, alloc, next_seq, stats)
-        .ok_or(SnapError::Corrupt("inconsistent self-checkpointing state"))
-}
-
-/// Keys of a stack map in canonical (sorted) encode order.
-fn sorted_keys<V>(map: &HashMap<PathId, V>) -> Vec<PathId> {
-    let mut keys: Vec<PathId> = map.keys().copied().collect();
-    keys.sort_unstable();
-    keys
-}
-
-impl RasUnit {
-    fn mode_tag(&self) -> u8 {
-        match self.mode {
-            Mode::Off => 0,
-            Mode::Oracle { .. } => 1,
-            Mode::Real { .. } => 2,
-            Mode::Jourdan { .. } => 3,
-        }
-    }
-
-    /// Serializes the unit's state (not its config-derived structure).
-    pub(crate) fn encode_state(&self, w: &mut SnapWriter) {
-        w.u8(self.mode_tag());
-        match &self.mode {
-            Mode::Off => {}
-            Mode::Oracle { stacks } => {
-                w.usize(stacks.len());
-                for k in sorted_keys(stacks) {
-                    w.u32(k.index() as u32);
-                    w.seq_u64(&stacks[&k]);
-                }
-            }
-            Mode::Real { stacks, .. } => {
-                w.usize(stacks.len());
-                for k in sorted_keys(stacks) {
-                    w.u32(k.index() as u32);
-                    encode_real_stack(w, &stacks[&k]);
-                }
-            }
-            Mode::Jourdan { stacks, .. } => {
-                w.usize(stacks.len());
-                for k in sorted_keys(stacks) {
-                    w.u32(k.index() as u32);
-                    encode_jourdan_stack(w, &stacks[&k]);
-                }
-            }
-        }
-        w.usize(self.budget.in_flight());
-        w.u64(self.stats.pushes);
-        w.u64(self.stats.pops);
-        w.u64(self.stats.overflows);
-        w.u64(self.stats.underflows);
-        w.u64(self.stats.restores);
-        w.u64(self.stats.budget_misses);
-        match self.last_accessor {
-            Some(h) => {
-                w.bool(true);
-                w.u8(h.index() as u8);
-            }
-            None => w.bool(false),
-        }
-        let mut lost: Vec<(PathId, u64)> = self.lost_frames.iter().map(|(&k, &v)| (k, v)).collect();
-        lost.sort_unstable_by_key(|&(k, _)| k);
-        w.usize(lost.len());
-        for (k, v) in lost {
-            w.u32(k.index() as u32);
-            w.u64(v);
-        }
-        w.u8(self.last_pop_flags);
-        w.usize(self.causes.len());
-        for h in &self.causes {
-            for cause in MispredictCause::ALL {
-                w.u64(h.get(cause));
-            }
-        }
-    }
-
-    /// Rebuilds a unit from `config` (structure) plus encoded state.
-    pub(crate) fn decode_state(
-        r: &mut SnapReader,
-        config: &CoreConfig,
-    ) -> Result<RasUnit, SnapError> {
-        let mut unit = RasUnit::new(config);
-        if r.u8()? != unit.mode_tag() {
-            return Err(SnapError::Corrupt("RAS mode does not match config"));
-        }
-        match &mut unit.mode {
-            Mode::Off => {}
-            Mode::Oracle { stacks } => {
-                let n = r.seq_len(12)?;
-                let mut fresh = HashMap::with_capacity(n);
-                let mut prev: Option<u32> = None;
-                for _ in 0..n {
-                    let key = r.u32()?;
-                    if prev.is_some_and(|p| p >= key) {
-                        return Err(SnapError::Corrupt("stack keys not sorted"));
-                    }
-                    prev = Some(key);
-                    fresh.insert(PathId::from_index(key as usize), r.seq_u64()?);
-                }
-                *stacks = fresh;
-            }
-            Mode::Real {
-                stacks, capacity, ..
-            } => {
-                let cap = *capacity;
-                let n = r.seq_len(12)?;
-                let mut fresh = HashMap::with_capacity(n);
-                let mut prev: Option<u32> = None;
-                for _ in 0..n {
-                    let key = r.u32()?;
-                    if prev.is_some_and(|p| p >= key) {
-                        return Err(SnapError::Corrupt("stack keys not sorted"));
-                    }
-                    prev = Some(key);
-                    fresh.insert(PathId::from_index(key as usize), decode_real_stack(r, cap)?);
-                }
-                *stacks = fresh;
-            }
-            Mode::Jourdan {
-                stacks, capacity, ..
-            } => {
-                let cap = *capacity;
-                let n = r.seq_len(12)?;
-                let mut fresh = HashMap::with_capacity(n);
-                let mut prev: Option<u32> = None;
-                for _ in 0..n {
-                    let key = r.u32()?;
-                    if prev.is_some_and(|p| p >= key) {
-                        return Err(SnapError::Corrupt("stack keys not sorted"));
-                    }
-                    prev = Some(key);
-                    fresh.insert(
-                        PathId::from_index(key as usize),
-                        decode_jourdan_stack(r, cap)?,
-                    );
-                }
-                *stacks = fresh;
-            }
-        }
-        let in_flight = r.usize()?;
-        for _ in 0..in_flight {
-            if !unit.budget.try_acquire() {
-                return Err(SnapError::Corrupt("checkpoint budget overflow"));
-            }
-        }
-        unit.stats = RasUnitStats {
-            pushes: r.u64()?,
-            pops: r.u64()?,
-            overflows: r.u64()?,
-            underflows: r.u64()?,
-            restores: r.u64()?,
-            budget_misses: r.u64()?,
-        };
-        unit.last_accessor = if r.bool()? {
-            Some(HartId::new(r.u8()?))
-        } else {
-            None
-        };
-        let n = r.seq_len(12)?;
-        let mut prev: Option<u32> = None;
-        for _ in 0..n {
-            let key = r.u32()?;
-            if prev.is_some_and(|p| p >= key) {
-                return Err(SnapError::Corrupt("lost-frame keys not sorted"));
-            }
-            prev = Some(key);
-            let v = r.u64()?;
-            unit.lost_frames.insert(PathId::from_index(key as usize), v);
-        }
-        unit.last_pop_flags = r.u8()?;
-        let n = r.seq_len(8 * MispredictCause::COUNT)?;
-        if n != unit.causes.len() {
-            return Err(SnapError::Corrupt("cause histogram count mismatch"));
-        }
-        for h in &mut unit.causes {
-            for cause in MispredictCause::ALL {
-                h.record_many(cause, r.u64()?);
-            }
-        }
-        Ok(unit)
-    }
-
-    /// Serializes an in-flight checkpoint handle.
-    pub(crate) fn encode_handle(handle: &CkptHandle, w: &mut SnapWriter) {
-        match &handle.0 {
-            Handle::Real { path, ckpt } => {
-                w.u8(0);
-                w.u32(path.index() as u32);
-                let (policy, tos, depth, seq_horizon, saved) = ckpt.snapshot_parts();
-                encode_repair_policy(w, policy);
-                w.usize(tos);
-                w.usize(depth);
-                w.u64(seq_horizon);
-                match saved {
-                    SavedContents::None => w.u8(0),
-                    SavedContents::TopOne(idx, e) => {
-                        w.u8(1);
-                        w.usize(*idx);
-                        encode_entry(w, e);
-                    }
-                    SavedContents::Top(items) => {
-                        w.u8(2);
-                        w.usize(items.len());
-                        for (idx, e) in items {
-                            w.usize(*idx);
-                            encode_entry(w, e);
-                        }
-                    }
-                    SavedContents::Full(entries) => {
-                        w.u8(3);
-                        w.usize(entries.len());
-                        for e in entries {
-                            encode_entry(w, e);
-                        }
-                    }
-                }
-            }
-            Handle::Oracle { path, stack } => {
-                w.u8(1);
-                w.u32(path.index() as u32);
-                w.seq_u64(stack);
-            }
-            Handle::Jourdan { path, ckpt } => {
-                w.u8(2);
-                w.u32(path.index() as u32);
-                let (tos, tos_seq) = ckpt.snapshot_parts();
-                w.usize(tos);
-                w.u64(tos_seq);
-            }
-        }
-    }
-
-    /// Decodes a checkpoint handle, validating its kind and geometry
-    /// against this unit's mode so a later restore cannot misroute or
-    /// index out of bounds.
-    pub(crate) fn decode_handle(&self, r: &mut SnapReader) -> Result<CkptHandle, SnapError> {
-        let kind = r.u8()?;
-        let path = PathId::from_index(r.u32()? as usize);
-        match (&self.mode, kind) {
-            (Mode::Real { capacity, .. }, 0) => {
-                let policy = decode_repair_policy(r)?;
-                let tos = r.usize()?;
-                let depth = r.usize()?;
-                let seq_horizon = r.u64()?;
-                let saved = match r.u8()? {
-                    0 => SavedContents::None,
-                    1 => {
-                        let idx = r.usize()?;
-                        SavedContents::TopOne(idx, decode_entry(r)?)
-                    }
-                    2 => {
-                        let n = r.seq_len(25)?;
-                        let mut items = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            let idx = r.usize()?;
-                            items.push((idx, decode_entry(r)?));
-                        }
-                        SavedContents::Top(items)
-                    }
-                    3 => {
-                        let n = r.seq_len(17)?;
-                        let mut items = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            items.push(decode_entry(r)?);
-                        }
-                        SavedContents::Full(items)
-                    }
-                    _ => return Err(SnapError::Corrupt("unknown saved-contents kind")),
-                };
-                let ckpt = RasCheckpoint::from_snapshot_parts(
-                    policy,
-                    tos,
-                    depth,
-                    seq_horizon,
-                    saved,
-                    *capacity,
-                )
-                .ok_or(SnapError::Corrupt("inconsistent RAS checkpoint"))?;
-                Ok(CkptHandle(Handle::Real { path, ckpt }))
-            }
-            (Mode::Oracle { .. }, 1) => Ok(CkptHandle(Handle::Oracle {
-                path,
-                stack: r.seq_u64()?,
-            })),
-            (Mode::Jourdan { capacity, .. }, 2) => {
-                let tos = r.usize()?;
-                let tos_seq = r.u64()?;
-                let ckpt = LinkCheckpoint::from_snapshot_parts(tos, tos_seq, *capacity)
-                    .ok_or(SnapError::Corrupt("inconsistent link checkpoint"))?;
-                Ok(CkptHandle(Handle::Jourdan { path, ckpt }))
-            }
-            _ => Err(SnapError::Corrupt(
-                "checkpoint kind does not match RAS mode",
-            )),
-        }
     }
 }
 

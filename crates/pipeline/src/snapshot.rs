@@ -26,6 +26,11 @@
 //! [`Core`]: crate::Core
 //! [`System`]: crate::System
 
+use crate::config::ConfigError;
+use crate::path::{HartId, PathId};
+use hydra_isa::Addr;
+use hydra_obs::LostCause;
+use std::collections::HashMap;
 use std::fmt;
 
 /// Current snapshot format version. Bumped on any incompatible layout
@@ -78,6 +83,10 @@ pub enum SnapError {
     /// Decoding finished with bytes left over — the buffer was produced
     /// by a different writer or spliced.
     TrailingBytes,
+    /// The caller's machine configuration is invalid (see
+    /// [`CoreConfig::check`](crate::CoreConfig::check)); the snapshot
+    /// bytes were not at fault.
+    Config(ConfigError),
 }
 
 impl fmt::Display for SnapError {
@@ -91,6 +100,7 @@ impl fmt::Display for SnapError {
             ),
             SnapError::Corrupt(what) => write!(f, "corrupt snapshot: {what}"),
             SnapError::TrailingBytes => write!(f, "snapshot has trailing bytes"),
+            SnapError::Config(e) => write!(f, "invalid configuration: {e}"),
         }
     }
 }
@@ -160,36 +170,6 @@ impl SnapWriter {
         self.u8(u8::from(v));
     }
 
-    pub(crate) fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.bool(true);
-                self.u64(x);
-            }
-            None => self.bool(false),
-        }
-    }
-
-    pub(crate) fn opt_i64(&mut self, v: Option<i64>) {
-        match v {
-            Some(x) => {
-                self.bool(true);
-                self.i64(x);
-            }
-            None => self.bool(false),
-        }
-    }
-
-    pub(crate) fn opt_usize(&mut self, v: Option<usize>) {
-        match v {
-            Some(x) => {
-                self.bool(true);
-                self.usize(x);
-            }
-            None => self.bool(false),
-        }
-    }
-
     /// Writes a section tag followed by a byte-length prefix; call the
     /// returned closure-free API: write fields, then [`end_section`] with
     /// the returned mark to patch the length.
@@ -208,15 +188,24 @@ impl SnapWriter {
         self.buf[mark..mark + 8].copy_from_slice(&len.to_le_bytes());
     }
 
-    /// Convenience: a `u64` sequence with count prefix.
-    pub(crate) fn seq_u64(&mut self, items: &[u64]) {
+    /// Writes one tagged, length-prefixed section with `body` as its
+    /// contents.
+    pub(crate) fn section(&mut self, tag: u32, body: impl FnOnce(&mut Self)) {
+        let mark = self.begin_section(tag);
+        body(self);
+        self.end_section(mark);
+    }
+
+    /// A length-prefixed sequence: the count, then each element.
+    pub(crate) fn seq<T: Snap>(&mut self, items: &[T]) {
         self.usize(items.len());
-        for &v in items {
-            self.u64(v);
+        for v in items {
+            v.encode(self);
         }
     }
 
-    /// Convenience: a `u8` sequence with count prefix.
+    /// A `u8` sequence with count prefix, copied in bulk (predictor
+    /// tables are the bulk of a snapshot).
     pub(crate) fn seq_u8(&mut self, items: &[u8]) {
         self.usize(items.len());
         self.buf.extend_from_slice(items);
@@ -326,30 +315,6 @@ impl<'a> SnapReader<'a> {
         }
     }
 
-    pub(crate) fn opt_u64(&mut self) -> Result<Option<u64>, SnapError> {
-        Ok(if self.bool()? {
-            Some(self.u64()?)
-        } else {
-            None
-        })
-    }
-
-    pub(crate) fn opt_i64(&mut self) -> Result<Option<i64>, SnapError> {
-        Ok(if self.bool()? {
-            Some(self.i64()?)
-        } else {
-            None
-        })
-    }
-
-    pub(crate) fn opt_usize(&mut self) -> Result<Option<usize>, SnapError> {
-        Ok(if self.bool()? {
-            Some(self.usize()?)
-        } else {
-            None
-        })
-    }
-
     /// Reads a sequence count and sanity-checks it against the bytes
     /// remaining (`count * elem_min` must fit) so hostile counts cannot
     /// trigger huge allocations before the decode inevitably fails.
@@ -364,12 +329,18 @@ impl<'a> SnapReader<'a> {
         Ok(count)
     }
 
-    /// Reads a `u64` sequence written by [`SnapWriter::seq_u64`].
-    pub(crate) fn seq_u64(&mut self) -> Result<Vec<u64>, SnapError> {
-        let n = self.seq_len(8)?;
+    /// Reads a sequence written by [`SnapWriter::seq`].
+    pub(crate) fn seq<T: Snap>(&mut self) -> Result<Vec<T>, SnapError> {
+        let n = self.seq_len(T::MIN_BYTES)?;
+        self.items(n)
+    }
+
+    /// Reads `n` elements with no count prefix — a sequence whose count
+    /// the caller already read and checked.
+    pub(crate) fn items<T: Snap>(&mut self, n: usize) -> Result<Vec<T>, SnapError> {
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            out.push(self.u64()?);
+            out.push(T::decode(self)?);
         }
         Ok(out)
     }
@@ -404,6 +375,306 @@ impl<'a> SnapReader<'a> {
         }
         Ok(())
     }
+
+    /// Reads one section written by [`SnapWriter::section`]: checks the
+    /// tag, decodes the contents with `body`, and checks that `body`
+    /// consumed exactly the section's length.
+    pub(crate) fn section<T>(
+        &mut self,
+        tag: u32,
+        body: impl FnOnce(&mut Self) -> Result<T, SnapError>,
+    ) -> Result<T, SnapError> {
+        let end = self.expect_section(tag)?;
+        let v = body(self)?;
+        self.end_section(end)?;
+        Ok(v)
+    }
+}
+
+/// One serialized type's wire form, with the encoder and the decoder side
+/// by side so they cannot drift apart.
+///
+/// Decoders validate as they read and fail with a typed [`SnapError`];
+/// they never panic on untrusted bytes. State whose decode needs context
+/// from the surrounding machine — a capacity to check, the program image,
+/// the RAS unit a checkpoint handle belongs to — is not a `Snap` type but
+/// a named function next to its encoder.
+pub(crate) trait Snap: Sized {
+    /// The fewest bytes one encoded value takes. Sequence decoders check
+    /// `count × MIN_BYTES` against the bytes left, so a hostile count
+    /// fails before it can drive a huge allocation.
+    const MIN_BYTES: usize;
+
+    /// Appends this value's wire form.
+    fn encode(&self, w: &mut SnapWriter);
+
+    /// Reads one value.
+    fn decode(r: &mut SnapReader) -> Result<Self, SnapError>;
+}
+
+macro_rules! snap_primitive {
+    ($($t:ty => $method:ident, $bytes:literal;)*) => {$(
+        impl Snap for $t {
+            const MIN_BYTES: usize = $bytes;
+            fn encode(&self, w: &mut SnapWriter) {
+                w.$method(*self);
+            }
+            fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
+                r.$method()
+            }
+        }
+    )*};
+}
+
+// `usize` travels as a `u64` and `bool` as one strict byte.
+snap_primitive! {
+    u8 => u8, 1;
+    u32 => u32, 4;
+    u64 => u64, 8;
+    u128 => u128, 16;
+    i64 => i64, 8;
+    usize => usize, 8;
+    bool => bool, 1;
+}
+
+/// A `bool` tag, then the payload when present.
+impl<T: Snap> Snap for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn encode(&self, w: &mut SnapWriter) {
+        w.bool(self.is_some());
+        if let Some(v) = self {
+            v.encode(w);
+        }
+    }
+    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(if r.bool()? { Some(T::decode(r)?) } else { None })
+    }
+}
+
+/// A `u64` count, then the elements.
+impl<T: Snap> Snap for Vec<T> {
+    const MIN_BYTES: usize = 8;
+    fn encode(&self, w: &mut SnapWriter) {
+        w.seq(self);
+    }
+    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
+        r.seq()
+    }
+}
+
+/// A fixed-length array: the elements with no count.
+impl<T: Snap + Default, const N: usize> Snap for [T; N] {
+    const MIN_BYTES: usize = N * T::MIN_BYTES;
+    fn encode(&self, w: &mut SnapWriter) {
+        for v in self {
+            v.encode(w);
+        }
+    }
+    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
+        let mut out: [T; N] = std::array::from_fn(|_| T::default());
+        for slot in &mut out {
+            *slot = T::decode(r)?;
+        }
+        Ok(out)
+    }
+}
+
+impl<A: Snap, B: Snap> Snap for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+    fn encode(&self, w: &mut SnapWriter) {
+        self.0.encode(w);
+        self.1.encode(w);
+    }
+    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok((A::decode(r)?, B::decode(r)?))
+    }
+}
+
+impl<A: Snap, B: Snap, C: Snap> Snap for (A, B, C) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES + C::MIN_BYTES;
+    fn encode(&self, w: &mut SnapWriter) {
+        self.0.encode(w);
+        self.1.encode(w);
+        self.2.encode(w);
+    }
+    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok((A::decode(r)?, B::decode(r)?, C::decode(r)?))
+    }
+}
+
+/// An address as its word index.
+impl Snap for Addr {
+    const MIN_BYTES: usize = 8;
+    fn encode(&self, w: &mut SnapWriter) {
+        w.u64(self.word());
+    }
+    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(Addr::new(r.u64()?))
+    }
+}
+
+/// A path as its `u32` index.
+impl Snap for PathId {
+    const MIN_BYTES: usize = 4;
+    fn encode(&self, w: &mut SnapWriter) {
+        w.u32(self.index() as u32);
+    }
+    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(PathId::from_index(r.u32()? as usize))
+    }
+}
+
+/// A hart as its `u8` index; range checks against the configured hart
+/// count belong to the caller.
+impl Snap for HartId {
+    const MIN_BYTES: usize = 1;
+    fn encode(&self, w: &mut SnapWriter) {
+        w.u8(self.index() as u8);
+    }
+    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(HartId::new(r.u8()?))
+    }
+}
+
+/// A CPI-stack cause as its index in [`LostCause::ALL`].
+impl Snap for LostCause {
+    const MIN_BYTES: usize = 1;
+    fn encode(&self, w: &mut SnapWriter) {
+        w.u8(self.index() as u8);
+    }
+    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
+        LostCause::ALL
+            .get(r.u8()? as usize)
+            .copied()
+            .ok_or(SnapError::Corrupt("unknown lost cause"))
+    }
+}
+
+/// Implements [`Snap`] for a struct whose wire form is the listed fields
+/// in the listed order. The declared field types must match the struct's
+/// (decode does not compile otherwise), and they give `MIN_BYTES`.
+macro_rules! snap_struct {
+    ($ty:path { $($field:ident: $fty:ty),* $(,)? }) => {
+        impl $crate::snapshot::Snap for $ty {
+            const MIN_BYTES: usize =
+                0 $(+ <$fty as $crate::snapshot::Snap>::MIN_BYTES)*;
+            fn encode(&self, w: &mut $crate::snapshot::SnapWriter) {
+                $($crate::snapshot::Snap::encode(&self.$field, w);)*
+            }
+            fn decode(
+                r: &mut $crate::snapshot::SnapReader,
+            ) -> Result<Self, $crate::snapshot::SnapError> {
+                Ok(Self {
+                    $($field: <$fty as $crate::snapshot::Snap>::decode(r)?,)*
+                })
+            }
+        }
+    };
+}
+pub(crate) use snap_struct;
+
+/// Implements [`Snap`] for an enum whose wire form is a `u8` tag, then
+/// the variant's listed fields in order; an unlisted tag decodes as
+/// `Corrupt($unknown)`. Struct variants list `{ name: Type, .. }`, tuple
+/// variants `(name: Type, ..)`.
+macro_rules! snap_enum {
+    ($ty:ident, $unknown:literal {
+        $($tag:literal => $variant:ident
+            $({ $($field:ident: $fty:ty),* })?
+            $(( $($tfield:ident: $tty:ty),* ))?),* $(,)?
+    }) => {
+        impl $crate::snapshot::Snap for $ty {
+            const MIN_BYTES: usize = 1;
+            fn encode(&self, w: &mut $crate::snapshot::SnapWriter) {
+                match self {
+                    $($ty::$variant $({ $($field),* })? $(( $($tfield),* ))? => {
+                        w.u8($tag);
+                        $($($crate::snapshot::Snap::encode($field, w);)*)?
+                        $($($crate::snapshot::Snap::encode($tfield, w);)*)?
+                    })*
+                }
+            }
+            fn decode(
+                r: &mut $crate::snapshot::SnapReader,
+            ) -> Result<Self, $crate::snapshot::SnapError> {
+                Ok(match r.u8()? {
+                    $($tag => $ty::$variant
+                        $({ $($field: <$fty as $crate::snapshot::Snap>::decode(r)?),* })?
+                        $(( $(<$tty as $crate::snapshot::Snap>::decode(r)?),* ))?,)*
+                    _ => return Err($crate::snapshot::SnapError::Corrupt($unknown)),
+                })
+            }
+        }
+    };
+}
+pub(crate) use snap_enum;
+
+/// Writes a `PathId`-keyed map as a count and then `(key, value)` pairs in
+/// ascending key order, so equal maps give equal bytes whatever their
+/// hash order.
+pub(crate) fn encode_sorted_map<V>(
+    w: &mut SnapWriter,
+    map: &HashMap<PathId, V>,
+    mut value: impl FnMut(&mut SnapWriter, &V),
+) {
+    let mut keys: Vec<PathId> = map.keys().copied().collect();
+    keys.sort_unstable();
+    w.usize(keys.len());
+    for k in keys {
+        k.encode(w);
+        value(w, &map[&k]);
+    }
+}
+
+/// Reads [`encode_sorted_map`] output. Keys that are not strictly
+/// ascending are rejected as `Corrupt(unsorted)`; `value_min_bytes`
+/// sizes the hostile-count guard.
+pub(crate) fn decode_sorted_map<V>(
+    r: &mut SnapReader,
+    value_min_bytes: usize,
+    unsorted: &'static str,
+    mut value: impl FnMut(&mut SnapReader) -> Result<V, SnapError>,
+) -> Result<HashMap<PathId, V>, SnapError> {
+    let n = r.seq_len(PathId::MIN_BYTES + value_min_bytes)?;
+    let mut map = HashMap::with_capacity(n);
+    let mut prev = None;
+    for _ in 0..n {
+        let key = PathId::decode(r)?;
+        if prev.is_some_and(|p| p >= key) {
+            return Err(SnapError::Corrupt(unsorted));
+        }
+        prev = Some(key);
+        map.insert(key, value(r)?);
+    }
+    Ok(map)
+}
+
+/// Test helper: encodes `v`, decodes it back, and checks that the decode
+/// consumed every byte and that re-encoding the decoded value writes the
+/// same bytes — the round-trip property every codec type must have.
+#[cfg(test)]
+pub(crate) fn assert_round_trip<T>(
+    v: &T,
+    encode: impl Fn(&mut SnapWriter, &T),
+    decode: impl FnOnce(&mut SnapReader) -> Result<T, SnapError>,
+) {
+    let bytes = {
+        let mut w = SnapWriter::new(KIND_CORE);
+        encode(&mut w, v);
+        w.finish()
+    };
+    let (mut r, _) = SnapReader::new(&bytes).expect("well-formed buffer");
+    let back = decode(&mut r).expect("round trip decodes");
+    r.expect_end().expect("decode consumed every byte");
+    let mut w = SnapWriter::new(KIND_CORE);
+    encode(&mut w, &back);
+    assert_eq!(w.finish(), bytes, "re-encoding changed the bytes");
+}
+
+/// [`assert_round_trip`] through a type's [`Snap`] impl.
+#[cfg(test)]
+pub(crate) fn assert_snap_round_trip<T: Snap>(v: &T) {
+    assert_round_trip(v, |w, v| v.encode(w), T::decode);
 }
 
 /// Test-only fault injection used by the differential fuzz tier to prove
@@ -443,11 +714,11 @@ mod tests {
         w.u128(u128::MAX / 5);
         w.bool(true);
         w.bool(false);
-        w.opt_u64(Some(9));
-        w.opt_u64(None);
-        w.opt_i64(Some(-1));
-        w.opt_usize(Some(33));
-        w.seq_u64(&[1, 2, 3]);
+        Some(9u64).encode(&mut w);
+        None::<u64>.encode(&mut w);
+        Some(-1i64).encode(&mut w);
+        Some(33usize).encode(&mut w);
+        w.seq(&[1u64, 2, 3]);
         w.seq_u8(&[4, 5]);
         let bytes = w.finish();
 
@@ -460,11 +731,11 @@ mod tests {
         assert_eq!(r.u128().unwrap(), u128::MAX / 5);
         assert!(r.bool().unwrap());
         assert!(!r.bool().unwrap());
-        assert_eq!(r.opt_u64().unwrap(), Some(9));
-        assert_eq!(r.opt_u64().unwrap(), None);
-        assert_eq!(r.opt_i64().unwrap(), Some(-1));
-        assert_eq!(r.opt_usize().unwrap(), Some(33));
-        assert_eq!(r.seq_u64().unwrap(), vec![1, 2, 3]);
+        assert_eq!(Option::<u64>::decode(&mut r).unwrap(), Some(9));
+        assert_eq!(Option::<u64>::decode(&mut r).unwrap(), None);
+        assert_eq!(Option::<i64>::decode(&mut r).unwrap(), Some(-1));
+        assert_eq!(Option::<usize>::decode(&mut r).unwrap(), Some(33));
+        assert_eq!(r.seq::<u64>().unwrap(), vec![1, 2, 3]);
         assert_eq!(r.seq_u8().unwrap(), vec![4, 5]);
         r.expect_end().unwrap();
     }
@@ -540,7 +811,7 @@ mod tests {
     #[test]
     fn truncation_never_panics() {
         let mut w = SnapWriter::new(KIND_CORE);
-        w.seq_u64(&[1, 2, 3]);
+        w.seq(&[1u64, 2, 3]);
         let bytes = w.finish();
         for len in 0..bytes.len() {
             assert!(SnapReader::new(&bytes[..len]).is_err());
@@ -553,7 +824,7 @@ mod tests {
         w.u64(u64::MAX); // absurd sequence count
         let bytes = w.finish();
         let (mut r, _) = SnapReader::new(&bytes).unwrap();
-        assert!(r.seq_u64().is_err());
+        assert!(r.seq::<u64>().is_err());
     }
 
     #[test]
@@ -565,6 +836,81 @@ mod tests {
         assert!(matches!(r.bool(), Err(SnapError::Corrupt(_))));
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The generic wire shapes round-trip to the byte.
+        #[test]
+        fn generic_shapes_round_trip(
+            a in proptest::any::<u8>(),
+            b in proptest::any::<u32>(),
+            c in proptest::any::<u64>(),
+            d in proptest::any::<i64>(),
+            e in proptest::any::<usize>(),
+            f in proptest::any::<bool>(),
+            g in proptest::any::<u64>(),
+        ) {
+            assert_snap_round_trip(&a);
+            assert_snap_round_trip(&b);
+            assert_snap_round_trip(&c);
+            assert_snap_round_trip(&d);
+            assert_snap_round_trip(&e);
+            assert_snap_round_trip(&f);
+            assert_snap_round_trip(&(u128::from(c) << 64 | u128::from(g)));
+            assert_snap_round_trip(&f.then_some(d));
+            assert_snap_round_trip(&vec![(b, a); a as usize % 5]);
+            assert_snap_round_trip(&[c, g, d as u64]);
+            assert_snap_round_trip(&(f, e, Some(a)));
+            assert_snap_round_trip(&Addr::new(c));
+            assert_snap_round_trip(&PathId::from_index(b as usize));
+            assert_snap_round_trip(&HartId::new(a));
+            assert_snap_round_trip(&LostCause::ALL[a as usize % LostCause::COUNT]);
+        }
+    }
+
+    #[test]
+    fn option_is_a_bool_tag_then_the_payload() {
+        let mut w = SnapWriter::new(KIND_CORE);
+        Some(7u64).encode(&mut w);
+        None::<u64>.encode(&mut w);
+        let bytes = w.finish();
+        assert_eq!(&bytes[13..bytes.len() - 8], &[1, 7, 0, 0, 0, 0, 0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn sorted_map_rejects_unsorted_keys() {
+        let map: HashMap<PathId, u64> = (0..5).map(|i| (PathId::from_index(i), i as u64)).collect();
+        assert_round_trip(
+            &map,
+            |w, m| encode_sorted_map(w, m, |w, &v| w.u64(v)),
+            |r| decode_sorted_map(r, 8, "unsorted", |r| r.u64()),
+        );
+        let mut w = SnapWriter::new(KIND_CORE);
+        w.usize(2);
+        for key in [3u32, 1] {
+            w.u32(key);
+            w.u64(0);
+        }
+        let bytes = w.finish();
+        let (mut r, _) = SnapReader::new(&bytes).unwrap();
+        assert_eq!(
+            decode_sorted_map(&mut r, 8, "unsorted", |r| r.u64()).unwrap_err(),
+            SnapError::Corrupt("unsorted")
+        );
+    }
+
+    #[test]
+    fn unknown_lost_cause_is_corrupt() {
+        let mut w = SnapWriter::new(KIND_CORE);
+        w.u8(LostCause::COUNT as u8);
+        let bytes = w.finish();
+        let (mut r, _) = SnapReader::new(&bytes).unwrap();
+        assert_eq!(
+            LostCause::decode(&mut r).unwrap_err(),
+            SnapError::Corrupt("unknown lost cause")
+        );
+    }
+
     #[test]
     fn error_display_is_informative() {
         assert!(SnapError::Truncated.to_string().contains("truncated"));
@@ -572,5 +918,8 @@ mod tests {
         assert!(SnapError::Version { found: 9 }.to_string().contains('9'));
         assert!(SnapError::Corrupt("x").to_string().contains('x'));
         assert!(SnapError::TrailingBytes.to_string().contains("trailing"));
+        assert!(SnapError::Config(ConfigError::EmptyRuu)
+            .to_string()
+            .contains("RUU"));
     }
 }

@@ -24,6 +24,7 @@
 //! standalone [`Core`] run — the single-hart experiment goldens do not
 //! move when wrapped in a `System`.
 
+use crate::check_stream::CheckEvent;
 use crate::config::CoreConfig;
 use crate::core::{decode_memory_state, encode_memory_state, Core};
 use crate::path::HartId;
@@ -34,9 +35,6 @@ use crate::snapshot::{
 use crate::stats::SimStats;
 use hydra_isa::Program;
 use hydra_mem::MemoryHierarchy;
-
-#[cfg(feature = "commit-stream")]
-use crate::check_stream::CheckEvent;
 
 /// One core's engines plus the RAS unit its harts share.
 #[derive(Debug)]
@@ -246,22 +244,18 @@ impl System {
     /// the donor (see [`Core::save_snapshot`]).
     pub fn save_snapshot(&self) -> Vec<u8> {
         let mut w = SnapWriter::new(KIND_SYSTEM);
-        let m = w.begin_section(TAG_SYSTEM);
-        w.usize(self.cores.len());
-        w.usize(self.harts_per_core);
-        w.bool(self.shared);
-        w.end_section(m);
+        w.section(TAG_SYSTEM, |w| {
+            w.usize(self.cores.len());
+            w.usize(self.harts_per_core);
+            w.bool(self.shared);
+        });
         for core in &self.cores {
             for e in &core.engines {
                 e.encode_sections(&mut w);
             }
-            let m = w.begin_section(TAG_CORE_RAS);
-            core.ras.encode_state(&mut w);
-            w.end_section(m);
+            w.section(TAG_CORE_RAS, |w| core.ras.encode_state(w));
         }
-        let m = w.begin_section(TAG_MEMORY);
-        encode_memory_state(&mut w, &self.memory);
-        w.end_section(m);
+        w.section(TAG_MEMORY, |w| encode_memory_state(w, &self.memory));
         w.finish()
     }
 
@@ -286,11 +280,8 @@ impl System {
             }
             _ => return Err(SnapError::Corrupt("unknown snapshot kind")),
         }
-        let end = r.expect_section(TAG_SYSTEM)?;
-        let ncores = r.usize()?;
-        let harts_per_core = r.usize()?;
-        let shared = r.bool()?;
-        r.end_section(end)?;
+        let (ncores, harts_per_core, shared) =
+            r.section(TAG_SYSTEM, |r| Ok((r.usize()?, r.usize()?, r.bool()?)))?;
         if ncores == 0 || harts_per_core == 0 {
             return Err(SnapError::Corrupt("system snapshot with zero harts"));
         }
@@ -324,21 +315,19 @@ impl System {
                     }
                     Some(_) => {}
                 }
-                let mut e = Core::new(config, programs.next().expect("counted"));
-                e.decode_sections(&mut r)?;
+                let program = programs.next().expect("counted");
+                let fingerprint = program.fingerprint();
+                let mut e = Core::new(config, program);
+                e.decode_sections(&mut r, fingerprint)?;
                 engines.push(e);
             }
             let config = first_config.expect("harts_per_core > 0");
-            let end = r.expect_section(TAG_CORE_RAS)?;
-            let ras = RasUnit::decode_state(&mut r, &config)?;
-            r.end_section(end)?;
+            let ras = r.section(TAG_CORE_RAS, |r| RasUnit::decode_state(r, &config))?;
             cores.push(CoreInstance { engines, ras });
         }
         let config = first_config.expect("ncores > 0");
         let mut memory = MemoryHierarchy::new(config.mem);
-        let end = r.expect_section(TAG_MEMORY)?;
-        decode_memory_state(&mut r, &mut memory)?;
-        r.end_section(end)?;
+        r.section(TAG_MEMORY, |r| decode_memory_state(r, &mut memory))?;
         r.expect_end()?;
         Ok(System {
             cores,
@@ -406,14 +395,12 @@ impl CoreHandle<'_> {
 
     /// Enables this hart's differential-check stream (see
     /// [`Core::enable_check_stream`]).
-    #[cfg(feature = "commit-stream")]
     pub fn enable_check_stream(&mut self) {
         self.engine_mut().enable_check_stream();
     }
 
     /// Drains this hart's recorded check events into `into` (see
     /// [`Core::drain_check_stream`]).
-    #[cfg(feature = "commit-stream")]
     pub fn drain_check_stream(&mut self, into: &mut Vec<CheckEvent>) {
         self.engine_mut().drain_check_stream(into);
     }
@@ -422,7 +409,6 @@ impl CoreHandle<'_> {
         &self.sys.cores[self.core].engines[self.local]
     }
 
-    #[cfg(feature = "commit-stream")]
     fn engine_mut(&mut self) -> &mut Core {
         &mut self.sys.cores[self.core].engines[self.local]
     }

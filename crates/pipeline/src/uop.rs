@@ -24,9 +24,10 @@ pub(crate) enum UopState {
 pub(crate) const NIL: u32 = u32::MAX;
 
 /// A source operand after renaming.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Src {
     /// No operand in this slot.
+    #[default]
     None,
     /// Value known at dispatch (architectural, immediate-like, or an
     /// already-completed producer).

@@ -150,3 +150,79 @@ fn empty_and_garbage_buffers_never_panic() {
     reseal(&mut evil);
     assert!(Core::resume(&evil, w.program()).is_err());
 }
+
+/// Mid-flight snapshot bytes of seven machines, pinned as FNV-64 hashes
+/// recorded before the codec was rewritten around one `Snap` trait: any
+/// change to the encoder, however small, moves a hash. Each machine is
+/// stopped with micro-ops, checkpoint handles and (where configured)
+/// forked paths in flight, so every section and every handle kind is
+/// covered.
+#[test]
+fn snapshot_bytes_are_pinned() {
+    use hydra_pipeline::{RasSharing, System};
+    use ras_core::MultipathStackPolicy;
+
+    let w = Workload::generate(&WorkloadSpec::test_small(), 4242).expect("generates");
+    let ras16 = ReturnPredictor::Ras {
+        entries: 16,
+        repair: RepairPolicy::TosPointerAndContents,
+    };
+    let core_hash = |config: CoreConfig, golden: bool| {
+        let mut core = Core::new(config, w.program());
+        if golden {
+            core.enable_golden_check();
+        }
+        let stats = core.run(1_500);
+        assert!(config.multipath.is_none() || stats.forks > 0, "no fork");
+        fnv64(&core.save_snapshot())
+    };
+    let with_rp = |rp: ReturnPredictor| {
+        let mut c = CoreConfig::baseline();
+        c.return_predictor = rp;
+        c
+    };
+    let mut got = vec![
+        core_hash(with_rp(ras16), true),
+        core_hash(
+            CoreConfig::multipath(4, MultipathStackPolicy::PerPath),
+            false,
+        ),
+        core_hash(
+            CoreConfig::multipath(
+                4,
+                MultipathStackPolicy::Unified {
+                    repair: RepairPolicy::TosPointerAndContents,
+                },
+            ),
+            false,
+        ),
+        core_hash(
+            with_rp(ReturnPredictor::SelfCheckpointing { entries: 16 }),
+            false,
+        ),
+        core_hash(with_rp(ReturnPredictor::Perfect), false),
+        core_hash(with_rp(ReturnPredictor::BtbOnly), false),
+    ];
+    let w1 = Workload::generate(&WorkloadSpec::test_small(), 4243).expect("generates");
+    let mut smt = CoreConfig::smt(2, RasSharing::Shared);
+    smt.return_predictor = ras16;
+    let mut sys = System::new(1, smt, &[w.program(), w1.program()]);
+    for _ in 0..1_000 {
+        sys.step_cycle();
+    }
+    got.push(fnv64(&sys.save_snapshot()));
+    assert_eq!(
+        got,
+        [
+            12_738_429_373_422_141_459,
+            10_320_699_864_995_903_904,
+            12_668_699_717_652_933_823,
+            3_435_671_608_342_216_440,
+            6_665_840_393_333_036_146,
+            18_220_206_050_488_739_857,
+            1_882_015_800_287_831_591,
+        ],
+        "snapshot bytes moved: baseline+golden, per-path, unified, \
+         self-checkpointing, perfect, BTB-only, 2-hart system"
+    );
+}

@@ -33,8 +33,8 @@ fn ras_config(repair: RepairPolicy) -> CoreConfig {
 
 /// Runs `w` straight through to `total` commits and again split at
 /// `split` commits via snapshot/resume, asserting the two runs are
-/// byte-identical: equal commit streams (when the tap is compiled in),
-/// equal final statistics, and equal final snapshot bytes. The golden
+/// byte-identical: equal commit streams, equal final statistics, and
+/// equal final snapshot bytes. The golden
 /// check is live on both halves, so any architectural divergence on the
 /// resumed half panics inside `run`. Returns the donor's statistics at
 /// the split point.
@@ -46,34 +46,25 @@ fn assert_snapshot_transparent(
 ) -> SimStats {
     let mut straight = Core::new(config, w.program());
     straight.enable_golden_check();
-    #[cfg(feature = "commit-stream")]
     straight.enable_check_stream();
     let straight_stats = straight.run(total);
-    #[cfg(feature = "commit-stream")]
     let mut straight_events = Vec::new();
-    #[cfg(feature = "commit-stream")]
     straight.drain_check_stream(&mut straight_events);
 
     let mut donor = Core::new(config, w.program());
     donor.enable_golden_check();
-    #[cfg(feature = "commit-stream")]
     donor.enable_check_stream();
     let split_stats = donor.run(split);
-    #[cfg(feature = "commit-stream")]
     let mut split_events = Vec::new();
-    #[cfg(feature = "commit-stream")]
     donor.drain_check_stream(&mut split_events);
     let bytes = donor.save_snapshot();
 
     let mut resumed = Core::resume(&bytes, w.program()).expect("snapshot resumes");
-    #[cfg(feature = "commit-stream")]
     resumed.enable_check_stream();
     let resumed_stats = resumed.run(total);
-    #[cfg(feature = "commit-stream")]
     resumed.drain_check_stream(&mut split_events);
 
     assert_eq!(straight_stats, resumed_stats, "final statistics diverge");
-    #[cfg(feature = "commit-stream")]
     assert_eq!(
         straight_events, split_events,
         "commit streams diverge across the snapshot point"

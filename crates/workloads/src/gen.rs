@@ -134,7 +134,7 @@ impl Workload {
         WorkloadSpec::spec95_suite()
             .iter()
             .enumerate()
-            .map(|(i, s)| Workload::generate(s, seed.wrapping_add(i as u64 * 0x9e37_79b9)))
+            .map(|(i, s)| Workload::generate(s, WorkloadSpec::suite_seed(seed, i)))
             .collect()
     }
 
@@ -933,5 +933,20 @@ mod connectivity_tests {
                 spec.name
             );
         }
+    }
+
+    /// Snapshots carry the program fingerprint, so its value is part of
+    /// the snapshot format: pinned for a hand-built image and a suite
+    /// program.
+    #[test]
+    fn program_fingerprints_are_pinned() {
+        use hydra_isa::{Inst, Program};
+        let tiny = Program::new(vec![Inst::Nop, Inst::Return, Inst::Halt], 64);
+        let compress = Workload::generate(&WorkloadSpec::spec95_suite()[3], 7).unwrap();
+        assert_eq!(compress.name(), "compress");
+        assert_eq!(
+            [tiny.fingerprint(), compress.program().fingerprint()],
+            [1_466_158_746_611_915_305, 16_064_416_003_149_591_148]
+        );
     }
 }

@@ -278,6 +278,15 @@ impl WorkloadSpec {
         ]
     }
 
+    /// The generation seed of the suite's `index`-th benchmark when the
+    /// suite as a whole is generated from `seed`. Every experiment, the
+    /// [`Workload::spec95_suite`](crate::Workload::spec95_suite) helper
+    /// and `expt run` derive per-benchmark seeds here, so a benchmark
+    /// generated for one of them is the same program in all of them.
+    pub fn suite_seed(seed: u64, index: usize) -> u64 {
+        seed.wrapping_add(index as u64 * 0x9e37_79b9)
+    }
+
     /// Looks up a suite profile by name.
     pub fn by_name(name: &str) -> Option<WorkloadSpec> {
         WorkloadSpec::spec95_suite()
