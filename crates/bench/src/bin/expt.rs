@@ -38,10 +38,13 @@
 
 use hydra_bench::golden::{check, DiffOptions};
 use hydra_bench::results::{sink_for, write_out_dir, Format};
-use hydra_bench::{perf, registry, run_experiment, EngineReport, Error, Experiment, RunSpec};
+use hydra_bench::trace::{run_core, Trace, TraceEvent, TraceFilter};
+use hydra_bench::{
+    info, perf, registry, run_experiment, run_experiment_traced, verbose, EngineReport, Error,
+    Experiment, RunSpec,
+};
 use hydra_pipeline::{Core, CoreConfig, MultipathConfig, ReturnPredictor};
 use hydra_stats::Json;
-use hydra_trace::{EventMask, TraceConfig, TraceSession};
 use hydra_workloads::{Workload, WorkloadSpec};
 use ras_core::{MultipathStackPolicy, RepairPolicy};
 use std::path::{Path, PathBuf};
@@ -144,7 +147,7 @@ struct Cli {
     quiet: bool,
     verbose: bool,
     trace: Option<PathBuf>,
-    trace_filter: EventMask,
+    trace_filter: TraceFilter,
     profile: bool,
     validate_trace: Option<PathBuf>,
     machine: Machine,
@@ -231,7 +234,7 @@ fn parse(args: &[String]) -> Result<Cli, Error> {
         quiet: false,
         verbose: false,
         trace: None,
-        trace_filter: EventMask::all(),
+        trace_filter: TraceFilter::default(),
         profile: false,
         validate_trace: None,
         machine: Machine::default(),
@@ -260,7 +263,7 @@ fn parse(args: &[String]) -> Result<Cli, Error> {
             "--trace" => cli.trace = Some(PathBuf::from(value("an output file")?)),
             "--trace-filter" => {
                 cli.trace_filter =
-                    EventMask::parse(&value("event kinds")?).map_err(Error::Usage)?;
+                    TraceFilter::parse(&value("event kinds")?).map_err(Error::Usage)?;
             }
             "--validate-trace" => cli.validate_trace = Some(PathBuf::from(value("a file")?)),
             "--jobs" | "-j" => cli.jobs = Some(parse_count("--jobs", &value("a value")?)?),
@@ -395,12 +398,12 @@ fn select(names: &[String], default_all: bool) -> Result<Vec<Box<dyn Experiment>
 
 fn run(args: Vec<String>) -> Result<ExitCode, Error> {
     let cli = parse(&args)?;
-    hydra_trace::log::set_level(if cli.quiet {
-        hydra_trace::log::Level::Quiet
+    hydra_bench::log::set_level(if cli.quiet {
+        hydra_bench::log::Level::Quiet
     } else if cli.verbose {
-        hydra_trace::log::Level::Verbose
+        hydra_bench::log::Level::Verbose
     } else {
-        hydra_trace::log::Level::Info
+        hydra_bench::log::Level::Info
     });
 
     if let Some(path) = &cli.validate_trace {
@@ -449,7 +452,7 @@ fn run(args: Vec<String>) -> Result<ExitCode, Error> {
         return check_goldens(&cli, workers);
     }
 
-    let session = start_trace(&cli)?;
+    let mut trace = cli.trace.as_ref().map(|_| Trace::new(cli.trace_filter));
     let selected = select(&cli.names, false)?;
     let rs = RunSpec::from_env()?;
 
@@ -458,17 +461,19 @@ fn run(args: Vec<String>) -> Result<ExitCode, Error> {
     let mut aggregate = EngineReport::default();
     let mut finished = Vec::new();
     for e in &selected {
-        hydra_trace::verbose!("running {} — {}", e.name(), e.title());
-        let t0_us = hydra_trace::session::now_us();
-        let result = run_experiment(e.as_ref(), &rs, workers);
-        hydra_trace::trace_event!(hydra_trace::TraceEvent::ExptSpan {
-            label: e.name().to_string(),
-            start_us: t0_us,
-            dur_us: hydra_trace::session::now_us().saturating_sub(t0_us),
-        });
+        verbose!("running {} — {}", e.name(), e.title());
+        let t0_us = trace.as_ref().map_or(0, Trace::now_us);
+        let result = run_experiment_traced(e.as_ref(), &rs, workers, trace.as_mut());
+        if let Some(t) = &mut trace {
+            t.span(TraceEvent::ExptSpan {
+                label: e.name().to_string(),
+                start_us: t0_us,
+                dur_us: t.now_us().saturating_sub(t0_us),
+            });
+        }
         sink.emit(&mut stdout, e.as_ref(), &rs, &result)
             .map_err(|io| Error::io("writing results", io))?;
-        hydra_trace::info!(
+        info!(
             "{}\n",
             result.report.to_table(format!("engine: {}", e.name()))
         );
@@ -478,21 +483,21 @@ fn run(args: Vec<String>) -> Result<ExitCode, Error> {
     sink.finish(&mut stdout, &rs)
         .map_err(|io| Error::io("writing results", io))?;
     if selected.len() > 1 {
-        hydra_trace::info!(
+        info!(
             "{}",
             aggregate.to_table(format!("engine: {} experiments total", selected.len()))
         );
     }
     if let Some(dir) = &cli.out {
         write_out_dir(dir, &rs, &finished)?;
-        hydra_trace::info!(
+        info!(
             "wrote {} result document(s) + BENCH_expt.json to {}",
             finished.len(),
             dir.display()
         );
     }
-    if let Some((session, path)) = session {
-        write_trace(&session.finish(), &path)?;
+    if let (Some(trace), Some(path)) = (&trace, &cli.trace) {
+        write_trace(trace, path)?;
     }
     if cli.profile {
         write_profile(cli.out.as_deref())?;
@@ -570,14 +575,14 @@ fn run_single(cli: &Cli) -> Result<ExitCode, Error> {
     if m.golden {
         core.enable_golden_check();
     }
-    let session = start_trace(cli)?;
+    let mut trace = cli.trace.as_ref().map(|_| Trace::new(cli.trace_filter));
     let t0 = Instant::now();
-    core.run(m.warmup);
+    run_core(&mut core, m.warmup, trace.as_mut());
     core.reset_stats();
-    let stats = core.run(m.instructions);
+    let stats = run_core(&mut core, m.instructions, trace.as_mut());
     let elapsed = t0.elapsed();
-    if let Some((session, path)) = session {
-        write_trace(&session.finish(), &path)?;
+    if let (Some(trace), Some(path)) = (&trace, &cli.trace) {
+        write_trace(trace, path)?;
     }
 
     if json {
@@ -666,7 +671,7 @@ fn run_perf(cli: &Cli) -> Result<ExitCode, Error> {
         let path = dir.join("BENCH_perf.json");
         std::fs::write(&path, doc.pretty())
             .map_err(|io| Error::io(format!("writing {}", path.display()), io))?;
-        hydra_trace::info!("wrote {}", path.display());
+        info!("wrote {}", path.display());
     }
     if let Some(baseline) = &cli.baseline {
         perf::check_baseline(&doc, baseline, perf::MIPS_REGRESSION_TOLERANCE)?;
@@ -762,7 +767,7 @@ fn run_sweep(cli: &Cli, workers: usize) -> Result<ExitCode, Error> {
         None => hydra_bench::SweepExperiment::default(),
     };
     let rs = RunSpec::from_env()?;
-    hydra_trace::verbose!(
+    verbose!(
         "sweep: {} lattice points per workload, one fast-forward snapshot each",
         sweep.lattice_points()
     );
@@ -773,11 +778,11 @@ fn run_sweep(cli: &Cli, workers: usize) -> Result<ExitCode, Error> {
         .map_err(|io| Error::io("writing results", io))?;
     sink.finish(&mut stdout, &rs)
         .map_err(|io| Error::io("writing results", io))?;
-    hydra_trace::info!("{}\n", result.report.to_table("engine: sweep".to_string()));
+    info!("{}\n", result.report.to_table("engine: sweep".to_string()));
     if let Some(dir) = &cli.out {
         let finished = vec![("sweep".to_string(), sweep.title().to_string(), result)];
         write_out_dir(dir, &rs, &finished)?;
-        hydra_trace::info!(
+        info!(
             "wrote 1 result document + BENCH_expt.json to {}",
             dir.display()
         );
@@ -785,31 +790,10 @@ fn run_sweep(cli: &Cli, workers: usize) -> Result<ExitCode, Error> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Starts a trace session when `--trace` was given, refusing cleanly if
-/// the binary lacks the `trace` cargo feature.
-fn start_trace(cli: &Cli) -> Result<Option<(TraceSession, PathBuf)>, Error> {
-    let Some(path) = &cli.trace else {
-        return Ok(None);
-    };
-    if !hydra_trace::COMPILED {
-        return Err(Error::Usage(
-            "--trace requires the `trace` feature; rebuild with \
-             `cargo build --release -p hydra-bench --features trace`"
-                .into(),
-        ));
-    }
-    let config = TraceConfig {
-        mask: cli.trace_filter,
-        ..TraceConfig::default()
-    };
-    let session = TraceSession::start(config).map_err(|e| Error::Usage(format!("--trace: {e}")))?;
-    Ok(Some((session, path.clone())))
-}
-
 /// Writes the three trace artifacts: Chrome trace JSON at `path`, the
 /// NDJSON event stream at `path.ndjson`, and the human-readable RAS
 /// timeline at `path.ras.txt`.
-fn write_trace(trace: &hydra_trace::Trace, path: &Path) -> Result<(), Error> {
+fn write_trace(trace: &Trace, path: &Path) -> Result<(), Error> {
     let write = |p: &Path, contents: String| {
         std::fs::write(p, contents).map_err(|io| Error::io(format!("writing {}", p.display()), io))
     };
@@ -825,10 +809,10 @@ fn write_trace(trace: &hydra_trace::Trace, path: &Path) -> Result<(), Error> {
     )?;
     let ras = path.with_extension("ras.txt");
     write(&ras, trace.ras_timeline())?;
-    hydra_trace::info!(
+    info!(
         "trace: {} event(s), {} dropped -> {} (+ {}, {})",
-        trace.events.len(),
-        trace.dropped,
+        trace.events().len(),
+        trace.dropped(),
         path.display(),
         ndjson.display(),
         ras.display()
@@ -839,7 +823,7 @@ fn write_trace(trace: &hydra_trace::Trace, path: &Path) -> Result<(), Error> {
 /// Dumps the global metrics registry: to `DIR/PROFILE_expt.json` when
 /// `--out` is set, to stderr otherwise.
 fn write_profile(out: Option<&Path>) -> Result<(), Error> {
-    let doc = hydra_trace::metrics::metrics().to_json();
+    let doc = hydra_bench::metrics::metrics().to_json();
     match out {
         Some(dir) => {
             std::fs::create_dir_all(dir)
@@ -847,7 +831,7 @@ fn write_profile(out: Option<&Path>) -> Result<(), Error> {
             let path = dir.join("PROFILE_expt.json");
             std::fs::write(&path, doc.pretty())
                 .map_err(|io| Error::io(format!("writing {}", path.display()), io))?;
-            hydra_trace::info!("wrote profile metrics to {}", path.display());
+            info!("wrote profile metrics to {}", path.display());
         }
         None => eprintln!("{}", doc.pretty()),
     }

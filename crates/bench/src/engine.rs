@@ -16,7 +16,12 @@
 //! [`hydra_stats::Summary`], and throughput ([`hydra_stats::Meter`]s for
 //! jobs/sec, simulated cycles/sec, committed instructions/sec) is
 //! reported in an [`EngineReport`] the `expt` binary prints to stderr.
+//! With a [`Trace`] ([`execute_traced`]), every job records its cores'
+//! tapped events into a trace of its own, and the engine appends the job
+//! traces to the caller's in plan order, so the simulated part of the
+//! trace is independent of `workers` too.
 
+use crate::trace::{run_core, run_system, Trace, TraceEvent};
 use hydra_pipeline::{CauseHistogram, Core, CoreConfig, CpiStack, SimStats, System};
 use hydra_stats::{Cell, Histogram, Meter, Summary, Table};
 use hydra_workloads::{DynamicProfile, Workload, WorkloadSpec};
@@ -55,7 +60,8 @@ pub struct SimJob {
 pub enum JobKind {
     /// Cycle-level simulation: generate the workload, fast-forward
     /// `fast_forward` commits with statistics discarded, then measure a
-    /// `horizon`-commit window.
+    /// `horizon`-commit window, harvesting the statistics and the
+    /// always-on CPI stack and return-mispredict cause histogram.
     Cycle {
         /// Workload generation profile.
         spec: WorkloadSpec,
@@ -92,22 +98,6 @@ pub enum JobKind {
         /// Commits per hart before statistics reset.
         fast_forward: u64,
         /// Commits per hart in the measurement window.
-        horizon: u64,
-    },
-    /// Like [`JobKind::Cycle`], but additionally harvests the always-on
-    /// observability counters after the measurement window: the CPI
-    /// stack ([`hydra_pipeline::CpiStack`]) and the return-mispredict
-    /// cause histogram ([`hydra_pipeline::CauseHistogram`]).
-    Obs {
-        /// Workload generation profile.
-        spec: WorkloadSpec,
-        /// Workload generation seed.
-        seed: u64,
-        /// Machine configuration.
-        config: CoreConfig,
-        /// Commits to run before statistics reset.
-        fast_forward: u64,
-        /// Commits in the measurement window.
         horizon: u64,
     },
     /// Warm-start cycle simulation: resume a shared quiescent
@@ -172,21 +162,6 @@ impl SimJob {
         self
     }
 
-    /// A cycle-level job that also harvests the CPI stack and
-    /// return-mispredict cause histogram (see [`JobKind::Obs`]).
-    pub fn obs(spec: &WorkloadSpec, seed: u64, config: CoreConfig, rs: &RunSpec) -> Self {
-        SimJob {
-            label: spec.name.clone(),
-            kind: JobKind::Obs {
-                spec: spec.clone(),
-                seed,
-                config,
-                fast_forward: rs.fast_forward,
-                horizon: rs.horizon,
-            },
-        }
-    }
-
     /// A simulated-SMT job for `spec` × `config` sized by `rs`; hart `i`
     /// runs the sibling workload generated with `seed + i`.
     pub fn smt(spec: &WorkloadSpec, seed: u64, config: CoreConfig, rs: &RunSpec) -> Self {
@@ -239,22 +214,21 @@ impl SimJob {
 /// The result of one [`SimJob`], in the same position as its job.
 #[derive(Debug, Clone)]
 pub enum JobOutput {
-    /// From [`JobKind::Cycle`].
-    Stats(SimStats),
-    /// From [`JobKind::Smt`]: one [`SimStats`] per hart, in hart order.
-    /// Per-hart commit counters are private; RAS and cache counters
-    /// reflect the shared structures (see [`System::stats`]).
-    SmtStats(Vec<SimStats>),
-    /// From [`JobKind::Obs`]: the measurement-window stats plus the
-    /// always-on observability counters covering that window.
-    Obs {
-        /// Measurement-window statistics (as [`JobOutput::Stats`]).
+    /// From [`JobKind::Cycle`] and [`JobKind::Resume`]: the
+    /// measurement-window statistics and the always-on observability
+    /// counters covering that window.
+    Cycle {
+        /// Measurement-window statistics.
         stats: SimStats,
         /// Lost-commit-slot accounting for the window.
         cpi: CpiStack,
         /// Mispredicted-return cause breakdown for the window.
         causes: CauseHistogram,
     },
+    /// From [`JobKind::Smt`]: one [`SimStats`] per hart, in hart order.
+    /// Per-hart commit counters are private; RAS and cache counters
+    /// reflect the shared structures (see [`System::stats`]).
+    SmtStats(Vec<SimStats>),
     /// From [`JobKind::Profile`].
     Profile(DynamicProfile),
     /// From [`JobKind::Replay`]: correct-path return hits over the total
@@ -269,6 +243,21 @@ pub enum JobOutput {
 
 /// Runs one job to completion. Pure: same job, same output, any thread.
 pub fn run_job(job: &SimJob) -> JobOutput {
+    run_job_traced(job, None)
+}
+
+/// A cycle job's output: `stats` plus the core's observability counters.
+fn cycle_output(core: &Core, stats: SimStats) -> JobOutput {
+    JobOutput::Cycle {
+        stats,
+        cpi: *core.cpi_stack(),
+        causes: core.mispredict_causes(),
+    }
+}
+
+/// [`run_job`], recording every simulated core's tapped events into
+/// `trace` if given. The output is the same either way.
+fn run_job_traced(job: &SimJob, mut trace: Option<&mut Trace>) -> JobOutput {
     match &job.kind {
         JobKind::Cycle {
             spec,
@@ -279,27 +268,10 @@ pub fn run_job(job: &SimJob) -> JobOutput {
         } => {
             let w = Workload::generate(spec, *seed).expect("job spec generates");
             let mut core = Core::new(*config, w.program());
-            core.run(*fast_forward);
+            run_core(&mut core, *fast_forward, trace.as_deref_mut());
             core.reset_stats();
-            JobOutput::Stats(core.run(*horizon))
-        }
-        JobKind::Obs {
-            spec,
-            seed,
-            config,
-            fast_forward,
-            horizon,
-        } => {
-            let w = Workload::generate(spec, *seed).expect("job spec generates");
-            let mut core = Core::new(*config, w.program());
-            core.run(*fast_forward);
-            core.reset_stats();
-            let stats = core.run(*horizon);
-            JobOutput::Obs {
-                stats,
-                cpi: *core.cpi_stack(),
-                causes: core.mispredict_causes(),
-            }
+            let stats = run_core(&mut core, *horizon, trace);
+            cycle_output(&core, stats)
         }
         JobKind::Smt {
             spec,
@@ -315,9 +287,9 @@ pub fn run_job(job: &SimJob) -> JobOutput {
                 .collect();
             let programs: Vec<_> = workloads.iter().map(Workload::program).collect();
             let mut sys = System::new(1, *config, &programs);
-            sys.run(*fast_forward);
+            run_system(&mut sys, *fast_forward, trace.as_deref_mut());
             sys.reset_stats();
-            JobOutput::SmtStats(sys.run(*horizon))
+            JobOutput::SmtStats(run_system(&mut sys, *horizon, trace))
         }
         JobKind::Resume {
             spec,
@@ -331,7 +303,8 @@ pub fn run_job(job: &SimJob) -> JobOutput {
                 .expect("sweep snapshot is quiescent and matches its workload");
             // A quiescent resume starts with zeroed statistics, so the
             // measurement window begins immediately — no reset needed.
-            JobOutput::Stats(core.run(*horizon))
+            let stats = run_core(&mut core, *horizon, trace);
+            cycle_output(&core, stats)
         }
         JobKind::Profile {
             spec,
@@ -504,39 +477,73 @@ impl EngineReport {
 /// is the submission order, never completion order, so results are
 /// independent of `workers`.
 pub fn execute(jobs: &[SimJob], workers: usize) -> (Vec<JobOutput>, EngineReport) {
+    execute_traced(jobs, workers, None)
+}
+
+/// Job traces waiting to be appended to the caller's trace in plan
+/// order: `next` is the first job not yet appended.
+struct Merge<'t> {
+    trace: &'t mut Trace,
+    next: usize,
+    pending: Vec<Option<Trace>>,
+}
+
+/// [`execute`], recording each job's tapped events and wall-clock span
+/// into `trace` if given. Job traces are appended in plan order as soon
+/// as every earlier job's has been, so at most the out-of-order tail is
+/// held in memory.
+pub fn execute_traced(
+    jobs: &[SimJob],
+    workers: usize,
+    trace: Option<&mut Trace>,
+) -> (Vec<JobOutput>, EngineReport) {
     let workers = workers.clamp(1, jobs.len().max(1));
     let started = Instant::now();
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<(JobOutput, Duration)>>> =
         jobs.iter().map(|_| Mutex::new(None)).collect();
+    let job_trace = trace.as_deref().map(Trace::for_job);
+    let merge = trace.map(|trace| {
+        Mutex::new(Merge {
+            trace,
+            next: 0,
+            pending: vec![None; jobs.len()],
+        })
+    });
 
     std::thread::scope(|scope| {
         let cursor = &cursor;
         let slots = &slots;
+        let merge = &merge;
+        let job_trace = &job_trace;
         for worker in 0..workers {
-            scope.spawn(move || {
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    let t0 = Instant::now();
-                    let start_us = hydra_trace::session::now_us();
-                    let out = run_job(&jobs[i]);
-                    let took = t0.elapsed();
-                    hydra_trace::trace_event!(hydra_trace::TraceEvent::JobSpan {
+            scope.spawn(move || loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= jobs.len() {
+                    break;
+                }
+                let mut job_trace = job_trace.clone();
+                let t0 = Instant::now();
+                let start_us = job_trace.as_ref().map_or(0, Trace::now_us);
+                let out = run_job_traced(&jobs[i], job_trace.as_mut());
+                let took = t0.elapsed();
+                if let (Some(m), Some(mut t)) = (merge, job_trace) {
+                    t.span(TraceEvent::JobSpan {
                         job: i as u64,
                         worker: worker as u64,
                         label: jobs[i].label.clone(),
                         start_us,
                         dur_us: took.as_micros() as u64,
                     });
-                    *slots[i].lock().expect("job slot poisoned") = Some((out, took));
+                    let mut guard = m.lock().expect("trace merge poisoned");
+                    let m = &mut *guard;
+                    m.pending[i] = Some(t);
+                    while let Some(t) = m.pending.get_mut(m.next).and_then(Option::take) {
+                        m.trace.append(t);
+                        m.next += 1;
+                    }
                 }
-                // Buffered trace events must reach the global ring before
-                // this thread is joined: TLS destructors can fire after
-                // the scope's join observes completion.
-                hydra_trace::session::flush_thread();
+                *slots[i].lock().expect("job slot poisoned") = Some((out, took));
             });
         }
     });
@@ -555,7 +562,7 @@ pub fn execute(jobs: &[SimJob], workers: usize) -> (Vec<JobOutput>, EngineReport
         job_millis.push(took.as_secs_f64() * 1e3);
         jobs_per_sec.add(1);
         match &out {
-            JobOutput::Stats(s) | JobOutput::Obs { stats: s, .. } => {
+            JobOutput::Cycle { stats: s, .. } => {
                 sim_cycles_per_sec.add(s.cycles);
                 sim_instrs_per_sec.add(s.committed);
             }
@@ -573,7 +580,7 @@ pub fn execute(jobs: &[SimJob], workers: usize) -> (Vec<JobOutput>, EngineReport
     sim_cycles_per_sec.set_window(wall);
     sim_instrs_per_sec.set_window(wall);
 
-    let m = hydra_trace::metrics::metrics();
+    let m = crate::metrics::metrics();
     m.counter_add("engine.jobs", jobs_per_sec.events());
     m.counter_add("engine.sim_cycles", sim_cycles_per_sec.events());
     m.counter_add("engine.sim_instrs", sim_instrs_per_sec.events());
@@ -618,12 +625,9 @@ impl<'a> Harvest<'a> {
         out
     }
 
-    /// The next output, which must be cycle-level stats.
+    /// The next output, which must be a cycle job's: its stats.
     pub fn stats(&mut self) -> &'a SimStats {
-        match self.take() {
-            JobOutput::Stats(s) => s,
-            other => panic!("expected Stats output, got {other:?}"),
-        }
+        self.cycle().0
     }
 
     /// The next output, which must be per-hart SMT stats.
@@ -634,12 +638,12 @@ impl<'a> Harvest<'a> {
         }
     }
 
-    /// The next output, which must be an observability-harvesting cycle
-    /// job: `(stats, cpi stack, cause histogram)`.
-    pub fn obs(&mut self) -> (&'a SimStats, &'a CpiStack, &'a CauseHistogram) {
+    /// The next output, which must be a cycle job's:
+    /// `(stats, cpi stack, cause histogram)`.
+    pub fn cycle(&mut self) -> (&'a SimStats, &'a CpiStack, &'a CauseHistogram) {
         match self.take() {
-            JobOutput::Obs { stats, cpi, causes } => (stats, cpi, causes),
-            other => panic!("expected Obs output, got {other:?}"),
+            JobOutput::Cycle { stats, cpi, causes } => (stats, cpi, causes),
+            other => panic!("expected Cycle output, got {other:?}"),
         }
     }
 
@@ -696,7 +700,9 @@ mod tests {
         assert_eq!(report.workers, 4.min(jobs.len()));
         for (a, b) in serial.iter().zip(&parallel) {
             match (a, b) {
-                (JobOutput::Stats(x), JobOutput::Stats(y)) => assert_eq!(x, y),
+                (JobOutput::Cycle { stats: x, .. }, JobOutput::Cycle { stats: y, .. }) => {
+                    assert_eq!(x, y)
+                }
                 _ => panic!("unexpected output kinds"),
             }
         }
@@ -739,7 +745,7 @@ mod tests {
     }
 
     #[test]
-    fn obs_jobs_carry_conserving_cpi_stacks() {
+    fn cycle_jobs_carry_conserving_cpi_stacks() {
         let spec = WorkloadSpec::test_small();
         let rs = RunSpec {
             seed: 7,
@@ -747,13 +753,13 @@ mod tests {
             horizon: 2_000,
         };
         let config = CoreConfig::baseline();
-        let jobs = vec![SimJob::obs(&spec, 7, config, &rs)];
+        let jobs = vec![SimJob::cycle(&spec, 7, config, &rs)];
         let (outs, _) = execute(&jobs, 1);
         let mut h = Harvest::new(&outs);
-        let (stats, cpi, causes) = h.obs();
+        let (stats, cpi, causes) = h.cycle();
         assert!(
             cpi.verify(stats.committed, stats.cycles, config.commit_width),
-            "obs job output violates slot conservation"
+            "cycle job output violates slot conservation"
         );
         // Every mispredicted return was classified.
         assert_eq!(causes.total(), stats.returns - stats.return_hits);

@@ -4,7 +4,7 @@
 //! unit that *plans* a batch of independent [`SimJob`]s and *harvests*
 //! the job outputs back into a rendered [`Table`]. The plan/harvest
 //! split is the programmatic entry point everything else drives — the
-//! `expt` CLI, the [`crate::api`] request handler, sweeps, and tests all
+//! `expt` CLI, sweeps, and tests all
 //! call `plan()`, run the jobs on the engine in [`crate::engine`], and
 //! feed the outputs to `harvest()`. `plan()` defines the deterministic
 //! job order, `harvest()` consumes outputs in that same order via
@@ -19,8 +19,9 @@ use hydra_stats::{Align, Cell, Summary, Table};
 use hydra_workloads::WorkloadSpec;
 use ras_core::{MultipathStackPolicy, RepairPolicy};
 
-use crate::engine::{execute, EngineReport, Harvest, JobKind, JobOutput, SimJob};
+use crate::engine::{execute_traced, EngineReport, Harvest, JobKind, JobOutput, SimJob};
 use crate::error::Error;
+use crate::trace::Trace;
 use crate::{repair_ladder, RunSpec};
 
 /// One reproducible artifact of the paper's evaluation.
@@ -60,8 +61,20 @@ pub struct ExperimentRun {
 /// The output table is independent of `workers`; only the report's
 /// timings change.
 pub fn run_experiment(experiment: &dyn Experiment, rs: &RunSpec, workers: usize) -> ExperimentRun {
+    run_experiment_traced(experiment, rs, workers, None)
+}
+
+/// [`run_experiment`], recording its jobs' events and spans into
+/// `trace` if given (see [`execute_traced`]). The table is the same
+/// either way.
+pub fn run_experiment_traced(
+    experiment: &dyn Experiment,
+    rs: &RunSpec,
+    workers: usize,
+    trace: Option<&mut Trace>,
+) -> ExperimentRun {
     let jobs = experiment.plan(rs);
-    let (outputs, report) = execute(&jobs, workers);
+    let (outputs, report) = execute_traced(&jobs, workers, trace);
     ExperimentRun {
         table: experiment.harvest(rs, &outputs),
         report,
@@ -1161,7 +1174,7 @@ impl Experiment for FigCpi {
                     repair,
                 };
                 jobs.push(
-                    SimJob::obs(&spec, seed, CoreConfig::with_return_predictor(rp), rs)
+                    SimJob::cycle(&spec, seed, CoreConfig::with_return_predictor(rp), rs)
                         .tagged(rtag),
                 );
             }
@@ -1195,7 +1208,7 @@ impl Experiment for FigCpi {
         }
         for (spec, _) in suite_specs(rs) {
             for (rtag, repair) in smt_repairs() {
-                let (stats, cpi, causes) = h.obs();
+                let (stats, cpi, causes) = h.cycle();
                 let width = CoreConfig::with_return_predictor(ReturnPredictor::Ras {
                     entries: 32,
                     repair,

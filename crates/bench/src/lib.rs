@@ -54,20 +54,25 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod api;
 pub mod engine;
 pub mod error;
 pub mod experiments;
 pub mod golden;
+pub mod log;
+pub mod metrics;
 pub mod perf;
 pub mod report;
 pub mod results;
 pub mod sweep;
+pub mod trace;
 
-pub use api::{handle, ApiError, Request, Response};
-pub use engine::{execute, run_job, EngineReport, Harvest, JobKind, JobOutput, SimJob};
+pub use engine::{
+    execute, execute_traced, run_job, EngineReport, Harvest, JobKind, JobOutput, SimJob,
+};
 pub use error::Error;
-pub use experiments::{find, lookup, registry, run_experiment, Experiment, ExperimentRun};
+pub use experiments::{
+    find, lookup, registry, run_experiment, run_experiment_traced, Experiment, ExperimentRun,
+};
 pub use golden::{diff, DiffOptions, GoldenError, Mismatch};
 pub use report::{render_report, write_report};
 pub use results::{Format, ResultSink, SCHEMA_VERSION};

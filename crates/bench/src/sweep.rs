@@ -247,8 +247,11 @@ mod tests {
             let mut cold = Core::new(*config, w.program());
             cold.fast_forward(rs.fast_forward);
             let cold_stats = cold.run(rs.horizon);
-            let JobOutput::Stats(warm_stats) = out else {
-                panic!("resume jobs yield Stats");
+            let JobOutput::Cycle {
+                stats: warm_stats, ..
+            } = out
+            else {
+                panic!("resume jobs yield Cycle outputs");
             };
             assert_eq!(
                 warm_stats, &cold_stats,

@@ -252,20 +252,14 @@ fn run_parses_trace_flags() {
         "--trace-filter",
         "ras,branch",
     ]);
-    if hydra_trace::COMPILED {
-        assert!(ok, "{stderr}");
-        assert!(path.exists());
-        for p in [
-            path.clone(),
-            path.with_extension("ndjson"),
-            path.with_extension("ras.txt"),
-        ] {
-            let _ = std::fs::remove_file(p);
-        }
-    } else {
-        // The flags parsed; only the missing feature stops the run.
-        assert!(!ok);
-        assert!(stderr.contains("requires the `trace` feature"), "{stderr}");
+    assert!(ok, "{stderr}");
+    assert!(path.exists());
+    for p in [
+        path.clone(),
+        path.with_extension("ndjson"),
+        path.with_extension("ras.txt"),
+    ] {
+        let _ = std::fs::remove_file(p);
     }
 }
 
@@ -337,7 +331,7 @@ fn run_reproduces_an_experiment_cell() {
         .into_iter()
         .find(|j| j.label == "li × no repair")
         .expect("fig-repair plans li × no repair");
-    let JobOutput::Stats(cell) = run_job(&job) else {
+    let JobOutput::Cycle { stats: cell, .. } = run_job(&job) else {
         panic!("fig-repair runs plain cycle jobs");
     };
     let doc = run_json(&[

@@ -1,8 +1,8 @@
 //! The seeded differential fuzzer.
 //!
 //! Each case is a random [`WorkloadSpec`] plus a random machine
-//! configuration. The optimized pipeline runs the case with its
-//! differential-check stream enabled; the event stream is replayed
+//! configuration. The optimized pipeline runs the case with its commit
+//! and RAS events tapped; the event stream is replayed
 //! against the [`RefSim`] in-order simulator (every commit) and, for
 //! single-path RAS configurations, against the [`RasOracle`] reference
 //! repair models (every speculative stack interaction). Any disagreement
@@ -17,13 +17,19 @@
 
 use crate::{Divergence, RasOracle, RefSim};
 use hydra_pipeline::{
-    CheckEvent, Core, CoreConfig, MultipathConfig, RasSharing, ReturnPredictor, System,
+    Core, CoreConfig, Event, EventClass, EventMask, MultipathConfig, RasSharing, ReturnPredictor,
+    System,
 };
 use hydra_stats::Json;
 use hydra_workloads::{Workload, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ras_core::{MultipathStackPolicy, RepairPolicy};
+
+/// The tap classes the differential check replays.
+const CHECKED: EventMask = EventMask::NONE
+    .with(EventClass::Commit)
+    .with(EventClass::Ras);
 
 /// The machine-configuration slice of one fuzz case: the knobs the
 /// differential check cares about, serializable for replay.
@@ -60,7 +66,7 @@ pub struct CaseConfig {
 impl CaseConfig {
     /// Whether the RAS reference oracle applies: a single-path machine
     /// predicting returns from a real (non-oracle) stack whose mutation
-    /// order the per-engine check streams preserve. `Shared` multi-hart
+    /// order the per-engine event streams preserve. `Shared` multi-hart
     /// is excluded: each engine drains its own stream, so the global
     /// cross-hart interleaving on the one physical stack is lost.
     pub fn ras_oracle_applies(&self) -> bool {
@@ -131,7 +137,7 @@ pub struct CaseReport {
     pub divergence: Option<Divergence>,
 }
 
-/// Runs one case: optimized pipeline with the check stream enabled,
+/// Runs one case: optimized pipeline with its commit and RAS events tapped,
 /// diffed live against the reference simulator and (where applicable)
 /// the RAS oracle.
 ///
@@ -145,14 +151,14 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseReport, String> {
         .map_err(|e| format!("workload generation failed: {e}"))?;
     let config = case.config.to_core_config()?;
     let mut core = Core::new(config, workload.program());
-    core.enable_check_stream();
+    core.set_tap(CHECKED);
     let mut refsim = RefSim::new(workload.program());
     let mut oracle = case
         .config
         .ras_oracle_applies()
         .then(|| RasOracle::new(case.config.repair, case.config.ras_entries));
 
-    let mut events: Vec<CheckEvent> = Vec::new();
+    let mut events = Vec::new();
     let mut committed = 0u64;
     let mut pending_snapshot = case.snapshot_at.filter(|&s| s < case.horizon);
     loop {
@@ -163,9 +169,9 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseReport, String> {
             target = target.min(s.max(committed + 1));
         }
         let stats = core.run(target);
-        core.drain_check_stream(&mut events);
-        for ev in events.drain(..) {
-            if let CheckEvent::Commit {
+        core.drain_tap(&mut events);
+        for ev in events.drain(..).map(|s| s.event) {
+            if let Event::Commit {
                 pc, inst, next_pc, ..
             } = ev
             {
@@ -195,7 +201,7 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseReport, String> {
         if pending_snapshot.is_some_and(|s| committed >= s) {
             pending_snapshot = None;
             // Serialize, re-decode, and carry on with the resumed core.
-            // The check stream was drained above, so no events are lost
+            // The tap was drained above, so no events are lost
             // across the swap. A resume that is not byte-stable is a
             // codec divergence in its own right — report it like any
             // other, so it shrinks like any other.
@@ -213,14 +219,14 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseReport, String> {
                     }),
                 });
             }
-            core.enable_check_stream();
+            core.set_tap(CHECKED);
         }
     }
 }
 
 /// Runs a multi-hart case as a one-core SMT [`System`]: each hart gets a
 /// sibling workload (same spec, consecutive seeds) and its own reference
-/// simulator; each hart's check stream replays against a sharing-aware
+/// simulator; each hart's event stream replays against a sharing-aware
 /// [`RasOracle`] where the oracle applies (see
 /// [`CaseConfig::ras_oracle_applies`]).
 fn run_case_smt(case: &FuzzCase) -> Result<CaseReport, String> {
@@ -246,10 +252,10 @@ fn run_case_smt(case: &FuzzCase) -> Result<CaseReport, String> {
         })
         .collect();
     for h in 0..harts {
-        sys.hart(h).enable_check_stream();
+        sys.hart(h).set_tap(CHECKED);
     }
 
-    let mut events: Vec<CheckEvent> = Vec::new();
+    let mut events = Vec::new();
     let mut target = 0u64;
     let mut last_total = u64::MAX;
     loop {
@@ -257,9 +263,9 @@ fn run_case_smt(case: &FuzzCase) -> Result<CaseReport, String> {
         let stats = sys.run(target);
         let commits_high = stats.iter().map(|s| s.committed).max().unwrap_or(0);
         for h in 0..harts {
-            sys.hart(h).drain_check_stream(&mut events);
-            for ev in events.drain(..) {
-                if let CheckEvent::Commit {
+            sys.hart(h).drain_tap(&mut events);
+            for ev in events.drain(..).map(|s| s.event) {
+                if let Event::Commit {
                     pc, inst, next_pc, ..
                 } = ev
                 {

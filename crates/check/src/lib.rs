@@ -18,9 +18,9 @@
 //!    pipeline against both references, and *shrinks* any divergence to
 //!    a minimal JSON repro replayable with `expt fuzz --replay`.
 //!
-//! The pipeline side of the channel is `hydra-pipeline`'s `CheckEvent`
-//! tap: always compiled, off until enabled, and one branch per event
-//! site while off.
+//! The pipeline side of the channel is `hydra-pipeline`'s event tap,
+//! asked for its commit and RAS classes: always compiled, off until
+//! enabled, and one branch per event site while off.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,11 +4,11 @@
 //! [`RefRas`] is an *independent* reimplementation of the semantics
 //! `ras-core` promises — written for obviousness, not speed, and sharing
 //! no code with the optimized structure. [`RasOracle`] replays a
-//! [`CheckEvent`] stream recorded by the pipeline against a `RefRas`,
+//! [`Event`] stream recorded by the pipeline against a `RefRas`,
 //! flagging any return prediction that disagrees with the model.
 
 use crate::Divergence;
-use hydra_pipeline::{CheckEvent, RasSharing};
+use hydra_pipeline::{Event, RasSharing};
 use ras_core::RepairPolicy;
 use std::collections::HashMap;
 
@@ -146,7 +146,7 @@ impl RefRas {
     }
 }
 
-/// Replays a pipeline-recorded [`CheckEvent`] stream against reference
+/// Replays a pipeline-recorded [`Event`] stream against reference
 /// stacks, diffing every return prediction.
 ///
 /// The oracle models a *single-path* front end: the optimized pipeline's
@@ -234,20 +234,23 @@ impl RasOracle {
     /// Applies one recorded event; `Err` is a genuine divergence between
     /// the pipeline's stack and the reference model (or an inconsistent
     /// event stream, which is equally a bug).
-    pub fn apply(&mut self, ev: &CheckEvent) -> Result<(), Divergence> {
+    pub fn apply(&mut self, ev: &Event) -> Result<(), Divergence> {
         match *ev {
-            CheckEvent::Commit { .. } => self.commits += 1,
-            CheckEvent::RasPush { hart, path, addr } => {
+            Event::Commit { .. } => self.commits += 1,
+            Event::RasPush {
+                hart, path, addr, ..
+            } => {
                 if path != 0 {
                     return Err(self.diverge(format!("push on unexpected path {path}")));
                 }
                 let s = self.route(hart)?;
                 self.stacks[s].push(addr);
             }
-            CheckEvent::RasPop {
+            Event::RasPop {
                 hart,
                 path,
                 predicted,
+                ..
             } => {
                 if path != 0 {
                     return Err(self.diverge(format!("pop on unexpected path {path}")));
@@ -261,7 +264,7 @@ impl RasOracle {
                     )));
                 }
             }
-            CheckEvent::RasCheckpoint { hart, path, id } => {
+            Event::RasCheckpoint { hart, path, id, .. } => {
                 if path != 0 {
                     return Err(self.diverge(format!("checkpoint on unexpected path {path}")));
                 }
@@ -271,7 +274,7 @@ impl RasOracle {
                     return Err(self.diverge(format!("checkpoint id {id} taken twice")));
                 }
             }
-            CheckEvent::RasRestore { hart, path, id } => {
+            Event::RasRestore { hart, path, id, .. } => {
                 if path != 0 {
                     return Err(self.diverge(format!("restore on unexpected path {path}")));
                 }
@@ -288,11 +291,10 @@ impl RasOracle {
                     None => return Err(self.diverge(format!("restore of unknown checkpoint {id}"))),
                 }
             }
-            CheckEvent::RasRelease { id } => {
-                if self.ckpts.remove(&id).is_none() {
-                    return Err(self.diverge(format!("release of unknown checkpoint {id}")));
-                }
+            Event::RasRelease { id } if self.ckpts.remove(&id).is_none() => {
+                return Err(self.diverge(format!("release of unknown checkpoint {id}")));
             }
+            _ => {}
         }
         Ok(())
     }
@@ -364,44 +366,51 @@ mod tests {
     fn oracle_flags_event_stream_inconsistencies() {
         let mut o = RasOracle::new(RepairPolicy::TosPointer, 4);
         assert!(o
-            .apply(&CheckEvent::RasRestore {
+            .apply(&Event::RasRestore {
                 hart: 0,
                 path: 0,
-                id: 7
+                id: 7,
+                policy: "tos",
             })
             .is_err());
         let mut o = RasOracle::new(RepairPolicy::TosPointer, 4);
-        assert!(o.apply(&CheckEvent::RasRelease { id: 7 }).is_err());
+        assert!(o.apply(&Event::RasRelease { id: 7 }).is_err());
     }
 
     #[test]
     fn oracle_accepts_a_consistent_stream() {
         let mut o = RasOracle::new(RepairPolicy::TosPointer, 4);
         let events = [
-            CheckEvent::RasPush {
+            Event::RasPush {
                 hart: 0,
                 path: 0,
                 addr: 0x40,
+                overflow: false,
             },
-            CheckEvent::RasCheckpoint {
+            Event::RasCheckpoint {
                 hart: 0,
                 path: 0,
                 id: 1,
+                policy: "tos",
+                words: 0,
             },
-            CheckEvent::RasPop {
+            Event::RasPop {
                 hart: 0,
                 path: 0,
                 predicted: Some(0x40),
+                flags: 0,
             },
-            CheckEvent::RasRestore {
+            Event::RasRestore {
                 hart: 0,
                 path: 0,
                 id: 1,
+                policy: "tos",
             },
-            CheckEvent::RasPop {
+            Event::RasPop {
                 hart: 0,
                 path: 0,
                 predicted: Some(0x40),
+                flags: 0,
             },
         ];
         for ev in &events {
@@ -413,23 +422,26 @@ mod tests {
     #[test]
     fn shared_oracle_interleaves_harts_on_one_stack() {
         let mut o = RasOracle::with_sharing(RepairPolicy::TosPointer, 8, 2, RasSharing::Shared);
-        o.apply(&CheckEvent::RasPush {
+        o.apply(&Event::RasPush {
             hart: 0,
             path: 0,
             addr: 0x10,
+            overflow: false,
         })
         .unwrap();
-        o.apply(&CheckEvent::RasPush {
+        o.apply(&Event::RasPush {
             hart: 1,
             path: 0,
             addr: 0x20,
+            overflow: false,
         })
         .unwrap();
         // Hart 0 pops hart 1's entry: the whole contention story.
-        o.apply(&CheckEvent::RasPop {
+        o.apply(&Event::RasPop {
             hart: 0,
             path: 0,
             predicted: Some(0x20),
+            flags: 0,
         })
         .expect("shared stack is LIFO across harts");
     }
@@ -438,22 +450,25 @@ mod tests {
     fn partitioned_oracle_isolates_harts() {
         for sharing in [RasSharing::Partitioned, RasSharing::Tagged { tag_bits: 1 }] {
             let mut o = RasOracle::with_sharing(RepairPolicy::TosPointer, 8, 2, sharing);
-            o.apply(&CheckEvent::RasPush {
+            o.apply(&Event::RasPush {
                 hart: 0,
                 path: 0,
                 addr: 0x10,
+                overflow: false,
             })
             .unwrap();
-            o.apply(&CheckEvent::RasPush {
+            o.apply(&Event::RasPush {
                 hart: 1,
                 path: 0,
                 addr: 0x20,
+                overflow: false,
             })
             .unwrap();
-            o.apply(&CheckEvent::RasPop {
+            o.apply(&Event::RasPop {
                 hart: 0,
                 path: 0,
                 predicted: Some(0x10),
+                flags: 0,
             })
             .unwrap_or_else(|d| panic!("{sharing:?} must isolate harts: {d}"));
         }
@@ -463,17 +478,20 @@ mod tests {
     fn cross_hart_restore_is_a_divergence() {
         let mut o =
             RasOracle::with_sharing(RepairPolicy::TosPointer, 8, 2, RasSharing::Partitioned);
-        o.apply(&CheckEvent::RasCheckpoint {
+        o.apply(&Event::RasCheckpoint {
             hart: 0,
             path: 0,
             id: 3,
+            policy: "tos",
+            words: 0,
         })
         .unwrap();
         assert!(o
-            .apply(&CheckEvent::RasRestore {
+            .apply(&Event::RasRestore {
                 hart: 1,
                 path: 0,
-                id: 3
+                id: 3,
+                policy: "tos",
             })
             .is_err());
     }
@@ -484,29 +502,33 @@ mod tests {
         let mut o =
             RasOracle::with_sharing(RepairPolicy::TosPointer, 4, 2, RasSharing::Partitioned);
         for addr in [1u64, 2, 3] {
-            o.apply(&CheckEvent::RasPush {
+            o.apply(&Event::RasPush {
                 hart: 0,
                 path: 0,
                 addr,
+                overflow: false,
             })
             .unwrap();
         }
-        o.apply(&CheckEvent::RasPop {
+        o.apply(&Event::RasPop {
             hart: 0,
             path: 0,
             predicted: Some(3),
+            flags: 0,
         })
         .unwrap();
-        o.apply(&CheckEvent::RasPop {
+        o.apply(&Event::RasPop {
             hart: 0,
             path: 0,
             predicted: Some(2),
+            flags: 0,
         })
         .unwrap();
-        o.apply(&CheckEvent::RasPop {
+        o.apply(&Event::RasPop {
             hart: 0,
             path: 0,
             predicted: Some(3),
+            flags: 0,
         })
         .expect("two-entry partition wraps to stale data");
     }

@@ -5,7 +5,7 @@
 
 use hydra_check::{RasOracle, RefRas};
 use hydra_pipeline::{
-    CheckEvent, CkptHandle, CoreConfig, HartId, PathId, RasSharing, RasUnit, ReturnPredictor,
+    CkptHandle, CoreConfig, Event, HartId, PathId, RasSharing, RasUnit, ReturnPredictor,
 };
 use proptest::prelude::*;
 use ras_core::{RasCheckpoint, RepairPolicy, ReturnAddressStack};
@@ -178,7 +178,7 @@ fn drive_smt(
     let mut oracle = RasOracle::with_sharing(policy, entries, 2, sharing);
     let mut ckpts: [Vec<(u64, CkptHandle)>; 2] = [Vec::new(), Vec::new()];
     let mut next_id = 0u64;
-    let feed = |oracle: &mut RasOracle, ev: CheckEvent| -> Result<(), TestCaseError> {
+    let feed = |oracle: &mut RasOracle, ev: Event| -> Result<(), TestCaseError> {
         let r = oracle.apply(&ev);
         prop_assert!(
             r.is_ok(),
@@ -194,10 +194,11 @@ fn drive_smt(
                 unit.push(hart, PathId::ROOT, addr);
                 feed(
                     &mut oracle,
-                    CheckEvent::RasPush {
+                    Event::RasPush {
                         hart: h,
                         path: 0,
                         addr,
+                        overflow: false,
                     },
                 )?;
             }
@@ -205,10 +206,11 @@ fn drive_smt(
                 let predicted = unit.pop(hart, PathId::ROOT);
                 feed(
                     &mut oracle,
-                    CheckEvent::RasPop {
+                    Event::RasPop {
                         hart: h,
                         path: 0,
                         predicted,
+                        flags: 0,
                     },
                 )?;
             }
@@ -218,10 +220,12 @@ fn drive_smt(
                     next_id += 1;
                     feed(
                         &mut oracle,
-                        CheckEvent::RasCheckpoint {
+                        Event::RasCheckpoint {
                             hart: h,
                             path: 0,
                             id,
+                            policy: "tos",
+                            words: 0,
                         },
                     )?;
                     ckpts[h as usize].push((id, handle));
@@ -232,10 +236,11 @@ fn drive_smt(
                     unit.restore(handle);
                     feed(
                         &mut oracle,
-                        CheckEvent::RasRestore {
+                        Event::RasRestore {
                             hart: h,
                             path: 0,
                             id,
+                            policy: "tos",
                         },
                     )?;
                 }
@@ -243,7 +248,7 @@ fn drive_smt(
             SmtOp::Release => {
                 if let Some((id, handle)) = ckpts[h as usize].pop() {
                     unit.release(handle);
-                    feed(&mut oracle, CheckEvent::RasRelease { id })?;
+                    feed(&mut oracle, Event::RasRelease { id })?;
                 }
             }
         }

@@ -153,8 +153,8 @@ impl SelfCheckpointingStack {
 
     /// Pushes a return address into a freshly allocated slot (speculative,
     /// at fetch). Never overwrites the current top — that is the whole
-    /// mechanism.
-    pub fn push(&mut self, return_addr: u64) {
+    /// mechanism. Returns whether the push recycled a live entry.
+    pub fn push(&mut self, return_addr: u64) -> bool {
         self.stats.pushes += 1;
         let slot = self.alloc;
         self.alloc = (self.alloc + 1) % self.capacity();
@@ -163,13 +163,6 @@ impl SelfCheckpointingStack {
             // Recycling a live entry: the chain below it is damaged.
             self.stats.overflows += 1;
         }
-        hydra_trace::trace_event!(hydra_trace::TraceEvent::RasPush {
-            cycle: hydra_trace::clock::cycle(),
-            hart: hydra_trace::clock::hart(),
-            path: hydra_trace::clock::path(),
-            addr: return_addr,
-            overflow,
-        });
         self.entries[slot] = LinkEntry {
             addr: return_addr,
             below: if self.tos == slot { NONE } else { self.tos },
@@ -177,6 +170,7 @@ impl SelfCheckpointingStack {
         };
         self.next_seq += 1;
         self.tos = slot;
+        overflow
     }
 
     /// Pops the predicted return target (speculative, at fetch). The
@@ -185,26 +179,10 @@ impl SelfCheckpointingStack {
         self.stats.pops += 1;
         if self.tos == NONE {
             self.stats.underflows += 1;
-            hydra_trace::trace_event!(hydra_trace::TraceEvent::RasPop {
-                cycle: hydra_trace::clock::cycle(),
-                hart: hydra_trace::clock::hart(),
-                path: hydra_trace::clock::path(),
-                addr: 0,
-                valid: false,
-                underflow: true,
-            });
             return None;
         }
         let e = self.entries[self.tos];
         self.tos = e.below;
-        hydra_trace::trace_event!(hydra_trace::TraceEvent::RasPop {
-            cycle: hydra_trace::clock::cycle(),
-            hart: hydra_trace::clock::hart(),
-            path: hydra_trace::clock::path(),
-            addr: e.addr,
-            valid: true,
-            underflow: false,
-        });
         Some(e.addr)
     }
 
@@ -216,13 +194,6 @@ impl SelfCheckpointingStack {
     /// Saves the TOS pointer (one word of shadow state per branch).
     pub fn checkpoint(&mut self) -> LinkCheckpoint {
         self.stats.checkpoints += 1;
-        hydra_trace::trace_event!(hydra_trace::TraceEvent::RasSave {
-            cycle: hydra_trace::clock::cycle(),
-            hart: hydra_trace::clock::hart(),
-            path: hydra_trace::clock::path(),
-            policy: "self-ckpt",
-            words: 1,
-        });
         LinkCheckpoint {
             tos: self.tos,
             tos_seq: if self.tos == NONE {
@@ -239,12 +210,6 @@ impl SelfCheckpointingStack {
     /// the chain is gone.
     pub fn restore(&mut self, ckpt: &LinkCheckpoint) {
         self.stats.restores += 1;
-        hydra_trace::trace_event!(hydra_trace::TraceEvent::RasRepair {
-            cycle: hydra_trace::clock::cycle(),
-            hart: hydra_trace::clock::hart(),
-            path: hydra_trace::clock::path(),
-            policy: "self-ckpt",
-        });
         if ckpt.tos == NONE {
             self.tos = NONE;
         } else if self.entries[ckpt.tos].seq == ckpt.tos_seq {

@@ -119,7 +119,8 @@ impl ReturnAddressStack {
     }
 
     /// Pushes a predicted return address (speculative, at fetch).
-    pub fn push(&mut self, return_addr: u64) {
+    /// Returns whether the push overflowed, overwriting a live entry.
+    pub fn push(&mut self, return_addr: u64) -> bool {
         self.stats.pushes += 1;
         let overflow = self.depth == self.capacity();
         if overflow {
@@ -134,13 +135,7 @@ impl ReturnAddressStack {
             valid: true,
         };
         self.next_seq += 1;
-        hydra_trace::trace_event!(hydra_trace::TraceEvent::RasPush {
-            cycle: hydra_trace::clock::cycle(),
-            hart: hydra_trace::clock::hart(),
-            path: hydra_trace::clock::path(),
-            addr: return_addr,
-            overflow,
-        });
+        overflow
     }
 
     /// Pops the predicted return target (speculative, at fetch).
@@ -160,14 +155,6 @@ impl ReturnAddressStack {
         }
         let entry = self.entries[self.tos];
         self.tos = (self.tos + self.capacity() - 1) % self.capacity();
-        hydra_trace::trace_event!(hydra_trace::TraceEvent::RasPop {
-            cycle: hydra_trace::clock::cycle(),
-            hart: hydra_trace::clock::hart(),
-            path: hydra_trace::clock::path(),
-            addr: entry.addr,
-            valid: entry.valid,
-            underflow,
-        });
         entry.valid.then_some(entry.addr)
     }
 
@@ -196,21 +183,13 @@ impl ReturnAddressStack {
             }
             RepairPolicy::FullStack => SavedContents::Full(self.entries.clone()),
         };
-        let ckpt = RasCheckpoint {
+        RasCheckpoint {
             policy,
             tos: self.tos,
             depth: self.depth,
             seq_horizon: self.next_seq,
             saved,
-        };
-        hydra_trace::trace_event!(hydra_trace::TraceEvent::RasSave {
-            cycle: hydra_trace::clock::cycle(),
-            hart: hydra_trace::clock::hart(),
-            path: hydra_trace::clock::path(),
-            policy: policy.short_name(),
-            words: ckpt.storage_words() as u64,
-        });
-        ckpt
+        }
     }
 
     /// The `k = 1` save, stored inline (no heap allocation per branch).
@@ -242,12 +221,6 @@ impl ReturnAddressStack {
     /// * `FullStack` — the entire stack image restored.
     pub fn restore(&mut self, ckpt: &RasCheckpoint) {
         self.stats.restores += 1;
-        hydra_trace::trace_event!(hydra_trace::TraceEvent::RasRepair {
-            cycle: hydra_trace::clock::cycle(),
-            hart: hydra_trace::clock::hart(),
-            path: hydra_trace::clock::path(),
-            policy: ckpt.policy.short_name(),
-        });
         match ckpt.policy {
             RepairPolicy::None => {}
             RepairPolicy::ValidBits => {

@@ -147,7 +147,9 @@ impl TraceReplayer {
     /// Applies a single event.
     pub fn apply(&mut self, event: TraceEvent) {
         match event {
-            TraceEvent::Call { return_addr } => self.ras.push(return_addr),
+            TraceEvent::Call { return_addr } => {
+                self.ras.push(return_addr);
+            }
             TraceEvent::Return { actual_target } => {
                 self.outcome.returns += 1;
                 match self.ras.pop() {
@@ -171,12 +173,9 @@ impl TraceReplayer {
         }
     }
 
-    /// Applies a sequence of events. The event index doubles as the
-    /// trace clock, so RAS events recorded during a replay line up with
-    /// positions in the synthetic trace.
+    /// Applies a sequence of events.
     pub fn replay(&mut self, events: &[TraceEvent]) {
-        for (i, &e) in events.iter().enumerate() {
-            hydra_trace::trace_cycle!(i as u64);
+        for &e in events {
             self.apply(e);
         }
     }

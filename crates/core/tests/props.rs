@@ -21,7 +21,9 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
 fn apply(stack: &mut ReturnAddressStack, ops: &[Op]) {
     for op in ops {
         match op {
-            Op::Push(v) => stack.push(*v),
+            Op::Push(v) => {
+                stack.push(*v);
+            }
             Op::Pop => {
                 stack.pop();
             }

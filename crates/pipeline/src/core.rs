@@ -22,10 +22,9 @@ mod codec;
 
 pub(crate) use codec::{decode_memory_state, encode_memory_state};
 
-use crate::check_stream::CheckEvent;
 use crate::config::{CoreConfig, ReturnPredictor};
+use crate::event::{Cache, Event, EventClass, EventMask, Stamped, Tap, UopStage};
 use crate::path::{HartId, PathId, PathTable};
-use crate::ptrace::PipeTrace;
 use crate::ras_unit::{CkptHandle, RasUnit};
 use crate::stats::{ReturnSource, SimStats};
 use crate::uop::{Src, Uop, UopState, NIL};
@@ -253,10 +252,9 @@ pub struct Core {
     /// executes every retiring instruction alongside commit, which
     /// compares the micro-op's result and control target against it.
     golden: Option<ArchState>,
-    ptrace: Option<PipeTrace>,
-    /// Differential-check event buffer; `None` until enabled, so each
-    /// recording site costs one branch while the stream is off.
-    check_stream: Option<Vec<CheckEvent>>,
+    /// The event tap (see [`Core::set_tap`]); off until a caller names
+    /// classes, so each recording site costs one branch.
+    tap: Tap,
     occupancy: Occupancy,
 
     // Persistent scratch buffers for squash bookkeeping, taken with
@@ -348,8 +346,7 @@ impl Core {
             cycle_base: 0,
             last_commit_cycle: 0,
             golden: None,
-            ptrace: None,
-            check_stream: None,
+            tap: Tap::default(),
             occupancy: Occupancy::new(&config),
             scratch_subtree: Vec::new(),
             scratch_killed: Vec::new(),
@@ -366,45 +363,25 @@ impl Core {
         self.golden = Some(ArchState::new(self.program.data_words()));
     }
 
-    /// Enables recording of the differential-check stream: one
-    /// [`CheckEvent`] per commit and per speculative RAS interaction,
-    /// drained with [`Core::drain_check_stream`]. Intended for the
-    /// `hydra-check` oracles; slows simulation.
-    pub fn enable_check_stream(&mut self) {
-        self.check_stream = Some(Vec::new());
+    /// Sets the classes the event tap records (see [`Event`]);
+    /// [`EventMask::NONE`], the default, turns it off. Recorded events
+    /// are drained with [`Core::drain_tap`]. The tap only observes:
+    /// simulation results are the same with any mask.
+    pub fn set_tap(&mut self, mask: EventMask) {
+        self.tap.set(mask);
     }
 
-    /// Moves the recorded check events into `into` (appending), leaving
-    /// the internal buffer empty but enabled. Call between bounded
-    /// [`Core::run`] windows to keep the buffer small.
-    pub fn drain_check_stream(&mut self, into: &mut Vec<CheckEvent>) {
-        if let Some(buf) = &mut self.check_stream {
-            into.append(buf);
-        }
+    /// Moves the recorded events into `into` (appending), leaving the
+    /// tap empty but on. Call between bounded [`Core::run`] windows to
+    /// keep the buffer small.
+    pub fn drain_tap(&mut self, into: &mut Vec<Stamped>) {
+        self.tap.drain(into);
     }
 
-    /// Records one check event when the stream is enabled.
+    /// Records one event if its class is tapped.
     #[inline]
-    fn emit_check(&mut self, ev: CheckEvent) {
-        if let Some(buf) = &mut self.check_stream {
-            buf.push(ev);
-        }
-    }
-
-    /// Enables pipeline tracing: the lifetimes of the most recent
-    /// `capacity` micro-ops are recorded and can be rendered as a stage
-    /// chart with [`PipeTrace::render_window`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn enable_pipe_trace(&mut self, capacity: usize) {
-        self.ptrace = Some(PipeTrace::new(capacity));
-    }
-
-    /// The pipeline trace, if tracing is enabled.
-    pub fn pipe_trace(&self) -> Option<&PipeTrace> {
-        self.ptrace.as_ref()
+    fn emit(&mut self, event: Event) {
+        self.tap.emit(self.cycle, event);
     }
 
     /// Per-cycle occupancy histograms of the RUU, LSQ, fetch queue and
@@ -598,10 +575,6 @@ impl Core {
 
     /// Advances the machine by one cycle.
     pub fn step(&mut self) {
-        // Publish the cycle and hart so leaf structures (the RAS in
-        // ras-core) can timestamp and attribute their own trace events.
-        hydra_trace::trace_cycle!(self.cycle);
-        hydra_trace::trace_hart!(self.hart.index() as u64);
         self.commit();
         self.writeback();
         self.issue();
@@ -615,12 +588,11 @@ impl Core {
         self.occupancy
             .live_paths
             .record(self.paths.live_count() as u64);
-        hydra_trace::trace_event!(hydra_trace::TraceEvent::StageSample {
-            cycle: self.cycle,
-            ruu: self.ruu.len() as u64,
-            lsq: self.lsq.len() as u64,
-            fetch_queue: self.fetch_queue.len() as u64,
-            live_paths: self.paths.live_count() as u64,
+        self.emit(Event::StageSample {
+            ruu: self.ruu.len() as u32,
+            lsq: self.lsq.len() as u32,
+            fetch_queue: self.fetch_queue.len() as u32,
+            live_paths: self.paths.live_count() as u32,
         });
         self.cycle += 1;
         assert!(
@@ -647,9 +619,10 @@ impl Core {
                 let cause = self.slab[hu].squash_cause;
                 self.ruu.pop_front();
                 self.lsq_remove_for(head);
-                if let Some(t) = &mut self.ptrace {
-                    t.on_retire(seq, self.cycle);
-                }
+                self.emit(Event::Uop {
+                    seq,
+                    stage: UopStage::Retire,
+                });
                 self.free_slot(head);
                 self.cpi.charge(cause, 1);
                 slots -= 1;
@@ -664,9 +637,10 @@ impl Core {
             let seq = self.slab[hu].seq;
             self.ruu.pop_front();
             self.lsq_remove_for(head);
-            if let Some(t) = &mut self.ptrace {
-                t.on_retire(seq, self.cycle);
-            }
+            self.emit(Event::Uop {
+                seq,
+                stage: UopStage::Retire,
+            });
             self.retire(head);
             self.free_slot(head);
             slots -= 1;
@@ -744,7 +718,7 @@ impl Core {
             (u.pred_next_pc, u.return_source, u.mem_addr, u.store_value)
         };
         assert!(!wild, "wild (out-of-image) micro-op reached commit");
-        self.emit_check(CheckEvent::Commit {
+        self.emit(Event::Commit {
             seq,
             pc,
             inst,
@@ -859,12 +833,7 @@ impl Core {
                     // evidence bits the RAS recorded at pop time.
                     let cause = classify_return_mispredict(self.slab[su].pop_flags);
                     self.ras.record_mispredict(self.hart, cause);
-                    hydra_trace::trace_event!(hydra_trace::TraceEvent::ReturnMispredictCause {
-                        cycle: self.cycle,
-                        hart: self.hart.index() as u64,
-                        pc: pc.word(),
-                        cause: cause.label(),
-                    });
+                    self.emit(Event::ReturnMispredict { pc, cause });
                 }
                 if return_source == Some(ReturnSource::Fallthrough) {
                     self.stats.return_no_prediction += 1;
@@ -899,9 +868,10 @@ impl Core {
             }
             self.slab[su].state = UopState::Done;
             let seq = self.slab[su].seq;
-            if let Some(t) = &mut self.ptrace {
-                t.on_complete(seq, self.cycle);
-            }
+            self.emit(Event::Uop {
+                seq,
+                stage: UopStage::Complete,
+            });
             self.wake_consumers(slot);
             let u = &self.slab[su];
             if u.squashed || !u.is_control() || u.resolved {
@@ -925,11 +895,9 @@ impl Core {
             )
         };
         let correct = pred_next == actual_next;
-        hydra_trace::trace_event!(hydra_trace::TraceEvent::BranchResolve {
-            cycle: self.cycle,
-            hart: self.hart.index() as u64,
-            path: path.index() as u64,
-            pc: self.slab[su].pc.word(),
+        self.emit(Event::BranchResolve {
+            path: path.index() as u32,
+            pc: self.slab[su].pc,
             mispredict: !correct,
         });
 
@@ -971,7 +939,7 @@ impl Core {
         let ckpt = self.slab[su].ras_ckpt.take();
         if correct {
             if let Some(handle) = ckpt {
-                self.emit_check(CheckEvent::RasRelease { id: seq });
+                self.emit(Event::RasRelease { id: seq });
                 self.ras.release(handle);
             }
             return;
@@ -988,11 +956,14 @@ impl Core {
         self.pending_refill = Some(cause);
         self.paths.revive(path);
         if let Some(handle) = ckpt {
-            self.emit_check(CheckEvent::RasRestore {
-                hart: self.hart.index() as u8,
-                path: path.index() as u32,
-                id: seq,
-            });
+            if self.tap.on(EventClass::Ras) {
+                self.emit(Event::RasRestore {
+                    hart: self.hart.index() as u8,
+                    path: path.index() as u32,
+                    id: seq,
+                    policy: handle.describe().0,
+                });
+            }
             self.ras.restore(handle);
         }
         let (history_at_fetch, taken_actual) = {
@@ -1052,7 +1023,7 @@ impl Core {
                 squashed_seqs.push(useq);
                 self.stats.squashed_uops += 1;
                 if let Some(handle) = handle {
-                    self.emit_check(CheckEvent::RasRelease { id: useq });
+                    self.emit(Event::RasRelease { id: useq });
                     released.push(handle);
                 }
             }
@@ -1082,7 +1053,7 @@ impl Core {
                 squashed_seqs.push(useq);
                 self.stats.squashed_uops += 1;
                 if let Some(handle) = self.slab[su].ras_ckpt.take() {
-                    self.emit_check(CheckEvent::RasRelease { id: useq });
+                    self.emit(Event::RasRelease { id: useq });
                     released.push(handle);
                 }
                 self.free_slot(slot);
@@ -1090,19 +1061,20 @@ impl Core {
                 self.fetch_queue.push_back((ready, slot));
             }
         }
-        hydra_trace::trace_event!(hydra_trace::TraceEvent::Squash {
-            cycle: self.cycle,
-            hart: self.hart.index() as u64,
-            path: base.index() as u64,
-            uops: squashed_seqs.len() as u64,
+        self.emit(Event::Squash {
+            path: base.index() as u32,
+            uops: squashed_seqs.len() as u32,
         });
         for handle in released.drain(..) {
             self.ras.release(handle);
         }
         self.scratch_released = released;
-        if let Some(t) = &mut self.ptrace {
+        if self.tap.on(EventClass::Pipe) {
             for &seq in &squashed_seqs {
-                t.on_squash(seq, self.cycle);
+                self.emit(Event::Uop {
+                    seq,
+                    stage: UopStage::Squash,
+                });
             }
         }
         self.scratch_seqs = squashed_seqs;
@@ -1132,7 +1104,7 @@ impl Core {
             squashed_seqs.push(useq);
             self.stats.squashed_uops += 1;
             if let Some(handle) = handle {
-                self.emit_check(CheckEvent::RasRelease { id: useq });
+                self.emit(Event::RasRelease { id: useq });
                 released.push(handle);
             }
         }
@@ -1155,7 +1127,7 @@ impl Core {
                 squashed_seqs.push(useq);
                 self.stats.squashed_uops += 1;
                 if let Some(handle) = self.slab[su].ras_ckpt.take() {
-                    self.emit_check(CheckEvent::RasRelease { id: useq });
+                    self.emit(Event::RasRelease { id: useq });
                     released.push(handle);
                 }
                 self.free_slot(slot);
@@ -1163,19 +1135,20 @@ impl Core {
                 self.fetch_queue.push_back((ready, slot));
             }
         }
-        hydra_trace::trace_event!(hydra_trace::TraceEvent::Squash {
-            cycle: self.cycle,
-            hart: self.hart.index() as u64,
-            path: killed.first().map_or(0, |p| p.index() as u64),
-            uops: squashed_seqs.len() as u64,
+        self.emit(Event::Squash {
+            path: killed.first().map_or(0, |p| p.index() as u32),
+            uops: squashed_seqs.len() as u32,
         });
         for handle in released.drain(..) {
             self.ras.release(handle);
         }
         self.scratch_released = released;
-        if let Some(t) = &mut self.ptrace {
+        if self.tap.on(EventClass::Pipe) {
             for &seq in &squashed_seqs {
-                t.on_squash(seq, self.cycle);
+                self.emit(Event::Uop {
+                    seq,
+                    stage: UopStage::Squash,
+                });
             }
         }
         self.scratch_seqs = squashed_seqs;
@@ -1411,9 +1384,8 @@ impl Core {
                         latency = lat.agen + self.memory.data_access(ea, false);
                     }
                 }
-                hydra_trace::trace_event!(hydra_trace::TraceEvent::CacheAccess {
-                    cycle: self.cycle,
-                    cache: "l1d",
+                self.emit(Event::CacheAccess {
+                    cache: Cache::L1d,
                     addr: ea,
                     hit: latency - lat.agen <= self.config.mem.l1_latency,
                 });
@@ -1425,9 +1397,8 @@ impl Core {
                 mem_addr = Some(ea);
                 store_value = Some(a);
                 latency = lat.agen + self.memory.data_access(ea, true);
-                hydra_trace::trace_event!(hydra_trace::TraceEvent::CacheAccess {
-                    cycle: self.cycle,
-                    cache: "l1d",
+                self.emit(Event::CacheAccess {
+                    cache: Cache::L1d,
                     addr: ea,
                     hit: latency - lat.agen <= self.config.mem.l1_latency,
                 });
@@ -1477,9 +1448,10 @@ impl Core {
         u.state = UopState::Issued {
             done_at: self.cycle + latency.max(1),
         };
-        if let Some(t) = &mut self.ptrace {
-            t.on_issue(seq, self.cycle);
-        }
+        self.emit(Event::Uop {
+            seq,
+            stage: UopStage::Issue,
+        });
         true
     }
 
@@ -1539,9 +1511,10 @@ impl Core {
                 let u = &self.slab[slot as usize];
                 (u.seq, u.path, u.inst.is_store(), u.squashed)
             };
-            if let Some(t) = &mut self.ptrace {
-                t.on_dispatch(seq, self.cycle);
-            }
+            self.emit(Event::Uop {
+                seq,
+                stage: UopStage::Dispatch,
+            });
             if needs_lsq {
                 let ls = self.lsq.push_back(LsqEntry {
                     seq,
@@ -1652,9 +1625,8 @@ impl Core {
             let pc = self.path_ctx[path.index()].fetch_pc;
             // Instruction-cache access; a miss stalls this path.
             let lat = self.memory.inst_access(pc.word());
-            hydra_trace::trace_event!(hydra_trace::TraceEvent::CacheAccess {
-                cycle: self.cycle,
-                cache: "l1i",
+            self.emit(Event::CacheAccess {
+                cache: Cache::L1i,
                 addr: pc.word(),
                 hit: lat <= self.config.mem.l1_latency,
             });
@@ -1724,6 +1696,10 @@ impl Core {
                             debug_assert_eq!(self.path_ctx.len(), child.index());
                             self.path_ctx.push(ctx);
                             self.ras.on_fork(path, child);
+                            self.emit(Event::RasFork {
+                                parent: path.index() as u32,
+                                child: child.index() as u32,
+                            });
                             self.slab[su].forked_child = Some(child);
                             self.stats.forks += 1;
                             self.stats.max_live_paths = self
@@ -1734,14 +1710,7 @@ impl Core {
                         }
                     }
                     if !forked {
-                        self.slab[su].ras_ckpt = self.ras.checkpoint(self.hart, path);
-                        if self.slab[su].ras_ckpt.is_some() {
-                            self.emit_check(CheckEvent::RasCheckpoint {
-                                hart: self.hart.index() as u8,
-                                path: path.index() as u32,
-                                id: seq,
-                            });
-                        }
+                        self.checkpoint_ras(su, path);
                     }
                     if pred.taken {
                         stop_block = true;
@@ -1755,43 +1724,19 @@ impl Core {
                     target
                 }
                 ControlKind::Call { target } => {
-                    self.ras.push(self.hart, path, pc.next().word());
-                    self.emit_check(CheckEvent::RasPush {
-                        hart: self.hart.index() as u8,
-                        path: path.index() as u32,
-                        addr: pc.next().word(),
-                    });
+                    self.push_ras(path, pc.next().word());
                     stop_block = true;
                     target
                 }
                 ControlKind::IndirectCall => {
-                    self.ras.push(self.hart, path, pc.next().word());
-                    self.emit_check(CheckEvent::RasPush {
-                        hart: self.hart.index() as u8,
-                        path: path.index() as u32,
-                        addr: pc.next().word(),
-                    });
-                    self.slab[su].ras_ckpt = self.ras.checkpoint(self.hart, path);
-                    if self.slab[su].ras_ckpt.is_some() {
-                        self.emit_check(CheckEvent::RasCheckpoint {
-                            hart: self.hart.index() as u8,
-                            path: path.index() as u32,
-                            id: seq,
-                        });
-                    }
+                    self.push_ras(path, pc.next().word());
+                    self.checkpoint_ras(su, path);
                     self.slab[su].history_at_fetch = Some(self.path_ctx[path.index()].history);
                     stop_block = true;
                     self.btb.lookup(pc).unwrap_or_else(|| pc.next())
                 }
                 ControlKind::IndirectJump => {
-                    self.slab[su].ras_ckpt = self.ras.checkpoint(self.hart, path);
-                    if self.slab[su].ras_ckpt.is_some() {
-                        self.emit_check(CheckEvent::RasCheckpoint {
-                            hart: self.hart.index() as u8,
-                            path: path.index() as u32,
-                            id: seq,
-                        });
-                    }
+                    self.checkpoint_ras(su, path);
                     self.slab[su].history_at_fetch = Some(self.path_ctx[path.index()].history);
                     stop_block = true;
                     self.btb.lookup(pc).unwrap_or_else(|| pc.next())
@@ -1803,14 +1748,7 @@ impl Core {
                     // classify a misprediction long after the stack has
                     // moved on.
                     self.slab[su].pop_flags = self.ras.last_pop_flags();
-                    self.slab[su].ras_ckpt = self.ras.checkpoint(self.hart, path);
-                    if self.slab[su].ras_ckpt.is_some() {
-                        self.emit_check(CheckEvent::RasCheckpoint {
-                            hart: self.hart.index() as u8,
-                            path: path.index() as u32,
-                            id: seq,
-                        });
-                    }
+                    self.checkpoint_ras(su, path);
                     self.slab[su].history_at_fetch = Some(self.path_ctx[path.index()].history);
                     stop_block = true;
                     target
@@ -1818,9 +1756,7 @@ impl Core {
             };
             self.slab[su].pred_next_pc = next;
             self.stats.fetched_uops += 1;
-            if let Some(t) = &mut self.ptrace {
-                t.on_fetch(seq, pc, inst, self.cycle);
-            }
+            self.emit(Event::Fetch { seq, pc, inst });
             if let Some(dest) = inst.dest() {
                 self.path_ctx[path.index()].map[dest.index() as usize] =
                     Some(MapEntry { seq, slot });
@@ -1841,27 +1777,60 @@ impl Core {
         }
     }
 
+    /// Pushes a call's return address onto `path`'s stack.
+    fn push_ras(&mut self, path: PathId, addr: u64) {
+        if let Some(overflow) = self.ras.push(self.hart, path, addr) {
+            self.emit(Event::RasPush {
+                hart: self.hart.index() as u8,
+                path: path.index() as u32,
+                addr,
+                overflow,
+            });
+        }
+    }
+
+    /// Pops `path`'s stack for a return prediction.
+    fn pop_ras(&mut self, path: PathId) -> Option<u64> {
+        let predicted = self.ras.pop(self.hart, path);
+        self.emit(Event::RasPop {
+            hart: self.hart.index() as u8,
+            path: path.index() as u32,
+            predicted,
+            flags: self.ras.last_pop_flags(),
+        });
+        predicted
+    }
+
+    /// Takes a repair checkpoint for the speculation point in slab slot
+    /// `su`, if the shadow budget has room.
+    fn checkpoint_ras(&mut self, su: usize, path: PathId) {
+        let ckpt = self.ras.checkpoint(self.hart, path);
+        if let Some(handle) = &ckpt {
+            if self.tap.on(EventClass::Ras) {
+                let (policy, words) = handle.describe();
+                self.emit(Event::RasCheckpoint {
+                    hart: self.hart.index() as u8,
+                    path: path.index() as u32,
+                    id: self.slab[su].seq,
+                    policy,
+                    words,
+                });
+            }
+        }
+        self.slab[su].ras_ckpt = ckpt;
+    }
+
     fn predict_return(&mut self, path: PathId, pc: Addr) -> (Addr, ReturnSource) {
         match self.config.return_predictor {
             ReturnPredictor::Perfect => {
-                let popped = self.ras.pop(self.hart, path);
-                self.emit_check(CheckEvent::RasPop {
-                    hart: self.hart.index() as u8,
-                    path: path.index() as u32,
-                    predicted: popped,
-                });
+                let popped = self.pop_ras(path);
                 match popped {
                     Some(t) => (Addr::new(t), ReturnSource::Oracle),
                     None => (pc.next(), ReturnSource::Fallthrough),
                 }
             }
             ReturnPredictor::Ras { .. } | ReturnPredictor::SelfCheckpointing { .. } => {
-                let popped = self.ras.pop(self.hart, path);
-                self.emit_check(CheckEvent::RasPop {
-                    hart: self.hart.index() as u8,
-                    path: path.index() as u32,
-                    predicted: popped,
-                });
+                let popped = self.pop_ras(path);
                 match popped {
                     Some(t) => (Addr::new(t), ReturnSource::Ras),
                     // Invalidated entry (valid-bits) or stale slot: fall back
@@ -2663,6 +2632,7 @@ mod jourdan_tests {
 #[cfg(test)]
 mod ptrace_tests {
     use super::*;
+    use crate::PipeTrace;
     use hydra_isa::{AluOp, Cond, ProgramBuilder};
 
     #[test]
@@ -2683,12 +2653,17 @@ mod ptrace_tests {
         let p = b.build().unwrap();
 
         let mut core = Core::new(CoreConfig::baseline(), &p);
-        core.enable_pipe_trace(10_000);
+        core.set_tap(PipeTrace::CLASSES);
         core.enable_golden_check();
         let stats = core.run(10_000);
         assert!(core.is_halted());
 
-        let trace = core.pipe_trace().expect("enabled");
+        let mut events = Vec::new();
+        core.drain_tap(&mut events);
+        let mut trace = PipeTrace::new(10_000);
+        for e in &events {
+            trace.record(e);
+        }
         assert!(!trace.is_empty());
         let mut committed = 0u64;
         let mut squashed = 0u64;
@@ -2730,7 +2705,9 @@ mod ptrace_tests {
         let p = b.build().unwrap();
         let mut core = Core::new(CoreConfig::baseline(), &p);
         core.run(10);
-        assert!(core.pipe_trace().is_none());
+        let mut events = Vec::new();
+        core.drain_tap(&mut events);
+        assert!(events.is_empty());
     }
 }
 

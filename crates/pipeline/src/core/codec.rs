@@ -747,6 +747,10 @@ impl Core {
         if max_live != expected_max {
             return Err(SnapError::Corrupt("path capacity does not match config"));
         }
+        // The rotor picks among at most `max_live` fetchable paths.
+        if self.fetch_rotor >= max_live {
+            return Err(SnapError::Corrupt("fetch rotor out of range"));
+        }
         self.paths = PathTable::from_snapshot_rows(r.seq()?, max_live)
             .ok_or(SnapError::Corrupt("inconsistent path table"))?;
         let nctx = r.seq_len(PathCtx::MIN_BYTES)?;

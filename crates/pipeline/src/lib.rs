@@ -48,9 +48,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod check_stream;
 mod config;
 mod core;
+mod event;
 mod path;
 mod ptrace;
 mod ras_unit;
@@ -60,11 +60,11 @@ mod system;
 mod uop;
 
 pub use crate::core::{Core, Occupancy};
-pub use check_stream::CheckEvent;
 pub use config::{
     ConfigError, CoreConfig, CoreConfigBuilder, FuLatencies, MultipathConfig, RasSharing,
     ReturnPredictor,
 };
+pub use event::{Cache, Event, EventClass, EventMask, Stamped, UopStage};
 pub use hydra_obs::{
     classify_return_mispredict, popflags, CauseHistogram, CpiStack, LostCause, MispredictCause,
 };

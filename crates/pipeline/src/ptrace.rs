@@ -1,10 +1,11 @@
 //! Pipeline tracing — a textual Gantt view of instruction flow.
 //!
 //! SimpleScalar shipped `ptrace` for watching instructions move through
-//! the pipeline; this is the equivalent. When enabled with
-//! [`Core::enable_pipe_trace`](crate::Core::enable_pipe_trace), the core
-//! records when each micro-op was fetched, dispatched, issued, completed
-//! and retired (or squashed), and [`PipeTrace::render_window`] draws the
+//! the pipeline; this is the equivalent. With [`PipeTrace::CLASSES`]
+//! tapped ([`Core::set_tap`](crate::Core::set_tap)), the core records
+//! when each micro-op was fetched, dispatched, issued, completed and
+//! retired (or squashed); [`PipeTrace::record`] folds those marks into
+//! per-micro-op lifetimes, and [`PipeTrace::render_window`] draws the
 //! classic stage chart:
 //!
 //! ```text
@@ -15,6 +16,7 @@
 //! complete, `C`ommit (or `s` for the squash point of discarded wrong-path
 //! work).
 
+use crate::event::{Event, EventClass, EventMask, Stamped, UopStage};
 use hydra_isa::{Addr, Inst};
 use std::collections::VecDeque;
 use std::fmt;
@@ -70,7 +72,15 @@ pub struct PipeTrace {
 }
 
 impl PipeTrace {
-    pub(crate) fn new(capacity: usize) -> Self {
+    /// The tap classes a pipe trace folds.
+    pub const CLASSES: EventMask = EventMask::NONE.with(EventClass::Pipe);
+
+    /// An empty trace keeping the most recent `capacity` micro-ops.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "trace capacity must be > 0");
         PipeTrace {
             records: VecDeque::with_capacity(capacity),
@@ -78,7 +88,28 @@ impl PipeTrace {
         }
     }
 
-    pub(crate) fn on_fetch(&mut self, seq: u64, pc: Addr, inst: Inst, cycle: u64) {
+    /// Folds one tapped event in; events outside [`PipeTrace::CLASSES`]
+    /// are ignored.
+    pub fn record(&mut self, s: &Stamped) {
+        match s.event {
+            Event::Fetch { seq, pc, inst } => self.on_fetch(seq, pc, inst, s.cycle),
+            Event::Uop { seq, stage } => {
+                if let Some(r) = self.find(seq) {
+                    let at = match stage {
+                        UopStage::Dispatch => &mut r.dispatched_at,
+                        UopStage::Issue => &mut r.issued_at,
+                        UopStage::Complete => &mut r.completed_at,
+                        UopStage::Retire => &mut r.retired_at,
+                        UopStage::Squash => &mut r.squashed_at,
+                    };
+                    *at = Some(s.cycle);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn on_fetch(&mut self, seq: u64, pc: Addr, inst: Inst, cycle: u64) {
         if self.records.len() == self.capacity {
             self.records.pop_front();
         }
@@ -89,36 +120,6 @@ impl PipeTrace {
         // Records are seq-ordered; binary search.
         let idx = self.records.binary_search_by_key(&seq, |r| r.seq).ok()?;
         self.records.get_mut(idx)
-    }
-
-    pub(crate) fn on_dispatch(&mut self, seq: u64, cycle: u64) {
-        if let Some(r) = self.find(seq) {
-            r.dispatched_at = Some(cycle);
-        }
-    }
-
-    pub(crate) fn on_issue(&mut self, seq: u64, cycle: u64) {
-        if let Some(r) = self.find(seq) {
-            r.issued_at = Some(cycle);
-        }
-    }
-
-    pub(crate) fn on_complete(&mut self, seq: u64, cycle: u64) {
-        if let Some(r) = self.find(seq) {
-            r.completed_at = Some(cycle);
-        }
-    }
-
-    pub(crate) fn on_squash(&mut self, seq: u64, cycle: u64) {
-        if let Some(r) = self.find(seq) {
-            r.squashed_at = Some(cycle);
-        }
-    }
-
-    pub(crate) fn on_retire(&mut self, seq: u64, cycle: u64) {
-        if let Some(r) = self.find(seq) {
-            r.retired_at = Some(cycle);
-        }
     }
 
     /// The traced records, oldest first.
@@ -214,12 +215,19 @@ impl fmt::Display for PipeTrace {
 mod tests {
     use super::*;
 
+    fn mark(t: &mut PipeTrace, seq: u64, stage: UopStage, cycle: u64) {
+        t.record(&Stamped {
+            cycle,
+            event: Event::Uop { seq, stage },
+        });
+    }
+
     fn record_flow(t: &mut PipeTrace, seq: u64, base: u64) {
         t.on_fetch(seq, Addr::new(seq), Inst::Nop, base);
-        t.on_dispatch(seq, base + 3);
-        t.on_issue(seq, base + 4);
-        t.on_complete(seq, base + 5);
-        t.on_retire(seq, base + 7);
+        mark(t, seq, UopStage::Dispatch, base + 3);
+        mark(t, seq, UopStage::Issue, base + 4);
+        mark(t, seq, UopStage::Complete, base + 5);
+        mark(t, seq, UopStage::Retire, base + 7);
     }
 
     #[test]
@@ -259,8 +267,8 @@ mod tests {
     fn squashed_uops_marked() {
         let mut t = PipeTrace::new(8);
         t.on_fetch(5, Addr::new(5), Inst::Nop, 20);
-        t.on_squash(5, 22);
-        t.on_retire(5, 25);
+        mark(&mut t, 5, UopStage::Squash, 22);
+        mark(&mut t, 5, UopStage::Retire, 25);
         let s = t.render_window(20, 10);
         assert!(s.contains("(squashed)"));
         assert!(s.lines().nth(1).unwrap().contains('s'));

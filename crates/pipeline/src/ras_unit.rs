@@ -35,6 +35,18 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct CkptHandle(Handle);
 
+impl CkptHandle {
+    /// The repair policy's short name and the checkpoint's storage cost
+    /// in 64-bit words.
+    pub fn describe(&self) -> (&'static str, u32) {
+        match &self.0 {
+            Handle::Real { ckpt, .. } => (ckpt.policy().short_name(), ckpt.storage_words() as u32),
+            Handle::Oracle { stack, .. } => ("perfect", stack.len() as u32),
+            Handle::Jourdan { .. } => ("self-ckpt", 1),
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Handle {
     /// A real shadow-state checkpoint for the stack keyed by `path`.
@@ -255,11 +267,6 @@ impl RasUnit {
     /// A new path was forked from `parent`: copy the stack in per-path
     /// (and oracle) modes; a unified stack is shared as-is.
     pub fn on_fork(&mut self, parent: PathId, child: PathId) {
-        hydra_trace::trace_event!(hydra_trace::TraceEvent::RasFork {
-            cycle: hydra_trace::clock::cycle(),
-            parent: parent.index() as u64,
-            child: child.index() as u64,
-        });
         match &mut self.mode {
             Mode::Off => {}
             Mode::Oracle { stacks } => {
@@ -359,35 +366,31 @@ impl RasUnit {
     }
 
     /// Push a return address at fetch time (a call by `hart` on `path`).
-    pub fn push(&mut self, hart: HartId, path: PathId, return_addr: u64) {
-        // Events emitted inside the stack carry the *requesting* hart
-        // and path, even when a unified stack is keyed by ROOT.
-        hydra_trace::trace_hart!(hart.index() as u64);
-        hydra_trace::trace_path!(path.index() as u64);
+    /// Returns whether the push overflowed a stack, or `None` when no
+    /// stack took it (the BTB-only configuration, or a path without a
+    /// stack).
+    pub fn push(&mut self, hart: HartId, path: PathId, return_addr: u64) -> Option<bool> {
         let key = self.stack_key(hart, path);
-        match &mut self.mode {
-            Mode::Off => {}
-            Mode::Oracle { stacks } => stacks.entry(key).or_default().push(return_addr),
-            Mode::Real { stacks, .. } => {
-                if let Some(s) = stacks.get_mut(&key) {
-                    // A push at full depth wraps and destroys the oldest
-                    // frame; remember it so a later deep pop can be
-                    // classified as overflow-wrap rather than underflow.
-                    if s.depth() == s.capacity() {
-                        *self.lost_frames.entry(key).or_insert(0) += 1;
-                    }
-                    s.push(return_addr);
-                }
+        let overflow = match &mut self.mode {
+            Mode::Off => return None,
+            Mode::Oracle { stacks } => {
+                stacks.entry(key).or_default().push(return_addr);
+                Some(false)
             }
-            Mode::Jourdan { stacks, .. } => {
-                if let Some(s) = stacks.get_mut(&key) {
-                    s.push(return_addr);
+            Mode::Real { stacks, .. } => stacks.get_mut(&key).map(|s| {
+                let overflow = s.push(return_addr);
+                // A push at full depth wraps and destroys the oldest
+                // frame; remember it so a later deep pop can be
+                // classified as overflow-wrap rather than underflow.
+                if overflow {
+                    *self.lost_frames.entry(key).or_insert(0) += 1;
                 }
-            }
-        }
-        if !matches!(self.mode, Mode::Off) {
-            self.last_accessor = Some(hart);
-        }
+                overflow
+            }),
+            Mode::Jourdan { stacks, .. } => stacks.get_mut(&key).map(|s| s.push(return_addr)),
+        };
+        self.last_accessor = Some(hart);
+        overflow
     }
 
     /// Pop a predicted return target at fetch time (a return by `hart`
@@ -396,8 +399,6 @@ impl RasUnit {
     /// As a side effect, records pop-time forensics evidence retrievable
     /// via [`RasUnit::last_pop_flags`] until the next pop.
     pub fn pop(&mut self, hart: HartId, path: PathId) -> Option<u64> {
-        hydra_trace::trace_hart!(hart.index() as u64);
-        hydra_trace::trace_path!(path.index() as u64);
         let key = self.stack_key(hart, path);
         // On a stack shared between harts, an intervening sibling access
         // is evidence the contents were perturbed. Hart-keyed stacks are
@@ -498,8 +499,6 @@ impl RasUnit {
             self.stats.budget_misses += 1;
             return None;
         }
-        hydra_trace::trace_hart!(hart.index() as u64);
-        hydra_trace::trace_path!(path.index() as u64);
         let key = self.stack_key(hart, path);
         match &mut self.mode {
             Mode::Off => unreachable!("handled above"),
@@ -546,16 +545,6 @@ impl RasUnit {
     /// move into place (or back to the pool) instead of being cloned.
     pub fn restore(&mut self, handle: CkptHandle) {
         self.budget.release();
-        let key = match &handle.0 {
-            Handle::Real { path, .. }
-            | Handle::Oracle { path, .. }
-            | Handle::Jourdan { path, .. } => *path,
-        };
-        if self.hart_keyed {
-            // Under hart keying the stack key *is* the hart.
-            hydra_trace::trace_hart!(key.index() as u64);
-        }
-        hydra_trace::trace_path!(key.index() as u64);
         match (&mut self.mode, handle.0) {
             (Mode::Oracle { stacks }, Handle::Oracle { path, stack }) => {
                 // The path may have died between checkpoint and restore.

@@ -196,7 +196,15 @@ impl RasUnit {
                 })?;
             }
         }
+        // Each in-flight micro-op holds at most one checkpoint, so a
+        // larger count is corrupt (and would replay for ~forever).
         let in_flight = r.usize()?;
+        let in_flight_cap = config.harts as usize * (config.fetch_queue + config.ruu_size);
+        if in_flight > in_flight_cap {
+            return Err(SnapError::Corrupt(
+                "in-flight checkpoint count out of range",
+            ));
+        }
         for _ in 0..in_flight {
             if !unit.budget.try_acquire() {
                 return Err(SnapError::Corrupt("checkpoint budget overflow"));
@@ -319,7 +327,7 @@ mod tests {
             let hart = HartId::new((i % u64::from(harts)) as u8);
             let path = live[i as usize % live.len()];
             match i % 7 {
-                0 | 1 | 4 => unit.push(hart, path, 0x100 + i),
+                0 | 1 | 4 => drop(unit.push(hart, path, 0x100 + i)),
                 2 | 5 => drop(unit.pop(hart, path)),
                 3 => {
                     if let Some(c) = unit.checkpoint(hart, path) {

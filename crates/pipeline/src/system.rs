@@ -24,9 +24,9 @@
 //! standalone [`Core`] run — the single-hart experiment goldens do not
 //! move when wrapped in a `System`.
 
-use crate::check_stream::CheckEvent;
 use crate::config::CoreConfig;
 use crate::core::{decode_memory_state, encode_memory_state, Core};
+use crate::event::{EventMask, Stamped};
 use crate::path::HartId;
 use crate::ras_unit::RasUnit;
 use crate::snapshot::{
@@ -183,21 +183,26 @@ impl System {
             self.cores[0].engines[0].run(max_commits_per_hart);
             return self.stats();
         }
-        loop {
-            let mut active = false;
-            for hart in 0..self.harts() {
-                let (c, l) = self.locate(hart);
-                let e = &self.cores[c].engines[l];
-                if e.is_halted() || e.committed() >= max_commits_per_hart {
-                    continue;
-                }
-                self.with_engine(hart, Core::step);
-                active = true;
+        while self.step_round(max_commits_per_hart) {}
+        self.stats()
+    }
+
+    /// One round of [`System::run`]: steps, in hart order, every hart
+    /// that has neither halted nor committed `max_commits_per_hart`
+    /// instructions. Returns whether any hart stepped; rounds until it
+    /// returns `false` are exactly `run`.
+    pub fn step_round(&mut self, max_commits_per_hart: u64) -> bool {
+        let mut active = false;
+        for hart in 0..self.harts() {
+            let (c, l) = self.locate(hart);
+            let e = &self.cores[c].engines[l];
+            if e.is_halted() || e.committed() >= max_commits_per_hart {
+                continue;
             }
-            if !active {
-                return self.stats();
-            }
+            self.with_engine(hart, Core::step);
+            active = true;
         }
+        active
     }
 
     /// Whether every hart has committed a `halt`.
@@ -393,16 +398,16 @@ impl CoreHandle<'_> {
         self.sys.with_engine(self.hart, |e| e.mispredict_causes())
     }
 
-    /// Enables this hart's differential-check stream (see
-    /// [`Core::enable_check_stream`]).
-    pub fn enable_check_stream(&mut self) {
-        self.engine_mut().enable_check_stream();
+    /// Sets the classes this hart's event tap records (see
+    /// [`Core::set_tap`]).
+    pub fn set_tap(&mut self, mask: EventMask) {
+        self.engine_mut().set_tap(mask);
     }
 
-    /// Drains this hart's recorded check events into `into` (see
-    /// [`Core::drain_check_stream`]).
-    pub fn drain_check_stream(&mut self, into: &mut Vec<CheckEvent>) {
-        self.engine_mut().drain_check_stream(into);
+    /// Drains this hart's tapped events into `into` (see
+    /// [`Core::drain_tap`]).
+    pub fn drain_tap(&mut self, into: &mut Vec<Stamped>) {
+        self.engine_mut().drain_tap(into);
     }
 
     fn engine(&self) -> &Core {

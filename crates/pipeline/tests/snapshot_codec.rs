@@ -133,6 +133,50 @@ fn spliced_trailing_bytes_are_rejected() {
     );
 }
 
+/// Byte offset of the body of the core snapshot section tagged `tag`:
+/// sections follow the 13-byte header as `tag: u32, len: u64, body`.
+fn section_body(bytes: &[u8], tag: u32) -> usize {
+    let mut at = 13;
+    loop {
+        let here = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap());
+        if here == tag {
+            return at + 12;
+        }
+        at += 12 + len as usize;
+    }
+}
+
+#[test]
+fn hostile_in_flight_checkpoint_count_is_rejected() {
+    // A BTB-only machine has an unlimited checkpoint budget; its RAS
+    // section is the mode byte, then the in-flight checkpoint count.
+    let w = Workload::generate(&WorkloadSpec::test_small(), 4242).expect("generates");
+    let config = CoreConfig::with_return_predictor(ReturnPredictor::BtbOnly);
+    let mut core = Core::new(config, w.program());
+    core.run(500);
+    let mut bytes = core.save_snapshot();
+    let at = section_body(&bytes, 0x50) + 1;
+    assert_eq!(bytes[at..at + 8], [0; 8], "no checkpoint in flight");
+    bytes[at..at + 8].copy_from_slice(&(u64::MAX - 1).to_le_bytes());
+    reseal(&mut bytes);
+    let err = Core::resume(&bytes, w.program()).unwrap_err();
+    assert!(matches!(err, SnapError::Corrupt(_)), "got {err:?}");
+}
+
+#[test]
+fn hostile_fetch_rotor_is_rejected() {
+    // The machine section starts with the hart byte and four u64
+    // counters; the fetch rotor follows.
+    let (mut bytes, w) = snapshot_bytes();
+    let at = section_body(&bytes, 0x60) + 1 + 32;
+    assert_eq!(bytes[at..at + 8], [0; 8], "a single-path rotor is 0");
+    bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    reseal(&mut bytes);
+    let err = Core::resume(&bytes, w.program()).unwrap_err();
+    assert!(matches!(err, SnapError::Corrupt(_)), "got {err:?}");
+}
+
 #[test]
 fn empty_and_garbage_buffers_never_panic() {
     let w = Workload::generate(&WorkloadSpec::test_small(), 1).expect("generates");

@@ -1,14 +1,21 @@
 //! Snapshot/resume transparency: pausing a simulation at an arbitrary
 //! commit count and resuming from the serialized bytes must be
-//! *indistinguishable* from running straight through — same per-commit
-//! check stream, same final statistics, and a re-snapshot at the end
+//! *indistinguishable* from running straight through — same tapped
+//! commit and RAS events, same final statistics, and a re-snapshot at the end
 //! produces the same bytes the uninterrupted run would. The per-commit
 //! golden check stays enabled across the split, so the resumed half is
 //! architecturally verified instruction by instruction.
 
-use hydra_pipeline::{Core, CoreConfig, RasSharing, ReturnPredictor, SimStats, System};
+use hydra_pipeline::{
+    Core, CoreConfig, EventClass, EventMask, RasSharing, ReturnPredictor, SimStats, System,
+};
 use hydra_workloads::{Workload, WorkloadSpec};
 use ras_core::{MultipathStackPolicy, RepairPolicy};
+
+/// The tapped classes compared across the split.
+const TAPPED: EventMask = EventMask::NONE
+    .with(EventClass::Commit)
+    .with(EventClass::Ras);
 
 /// The six RAS repair mechanisms the paper's evaluation sweeps.
 fn repair_ladder() -> [RepairPolicy; 6] {
@@ -46,23 +53,23 @@ fn assert_snapshot_transparent(
 ) -> SimStats {
     let mut straight = Core::new(config, w.program());
     straight.enable_golden_check();
-    straight.enable_check_stream();
+    straight.set_tap(TAPPED);
     let straight_stats = straight.run(total);
     let mut straight_events = Vec::new();
-    straight.drain_check_stream(&mut straight_events);
+    straight.drain_tap(&mut straight_events);
 
     let mut donor = Core::new(config, w.program());
     donor.enable_golden_check();
-    donor.enable_check_stream();
+    donor.set_tap(TAPPED);
     let split_stats = donor.run(split);
     let mut split_events = Vec::new();
-    donor.drain_check_stream(&mut split_events);
+    donor.drain_tap(&mut split_events);
     let bytes = donor.save_snapshot();
 
     let mut resumed = Core::resume(&bytes, w.program()).expect("snapshot resumes");
-    resumed.enable_check_stream();
+    resumed.set_tap(TAPPED);
     let resumed_stats = resumed.run(total);
-    resumed.drain_check_stream(&mut split_events);
+    resumed.drain_tap(&mut split_events);
 
     assert_eq!(straight_stats, resumed_stats, "final statistics diverge");
     assert_eq!(

@@ -12,6 +12,7 @@
 //! ```
 
 use hydrascalar::isa::asm;
+use hydrascalar::pipeline::PipeTrace;
 use hydrascalar::{Core, CoreConfig};
 
 const KERNEL: &str = "
@@ -47,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("kernel: {} instructions\n", program.len());
 
     let mut core = Core::new(CoreConfig::baseline(), &program);
-    core.enable_pipe_trace(4096);
+    core.set_tap(PipeTrace::CLASSES);
     let stats = core.run(10_000);
 
     println!(
@@ -61,7 +62,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.squashed_uops
     );
 
-    let trace = core.pipe_trace().expect("tracing enabled");
+    // Fold the tapped stage marks into a chart of the last 4096 uops.
+    let mut events = Vec::new();
+    core.drain_tap(&mut events);
+    let mut trace = PipeTrace::new(4096);
+    for e in &events {
+        trace.record(e);
+    }
     // Find an interesting window: the first squash.
     let focus = trace
         .records()

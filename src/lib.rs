@@ -19,14 +19,11 @@
 //! * [`workloads`] (`hydra-workloads`) — the SPECint95-like synthetic
 //!   benchmark suite;
 //! * [`stats`] (`hydra-stats`) — counters and report tables;
-//! * [`trace`] (`hydra-trace`) — zero-cost-when-off event tracing,
-//!   metrics, and the leveled stderr logger (enable recording with the
-//!   `trace` cargo feature);
 //! * [`bench`] (`hydra-bench`) — the experiment harness behind the
 //!   `expt` binary, the repository's one command line: every table and
 //!   figure of the paper as a registered experiment, single-configuration
-//!   runs (`expt run`), plus the typed programmatic API ([`Request`] /
-//!   [`Response`]).
+//!   runs (`expt run`), and event traces of runs ([`trace`], a sink on
+//!   the pipeline's event tap).
 //!
 //! The most commonly used types are also re-exported at the crate root.
 //!
@@ -93,29 +90,26 @@
 //! # Programmatic experiment API
 //!
 //! The paper's tables and figures are registered experiments, runnable
-//! in-process through a schema-versioned [`Request`] / [`Response`]
-//! pair. A request is a pure value — (experiment name, run spec) — and
-//! because the simulator is deterministic, the response is a pure
-//! function of it.
+//! in-process: look one up by name, size it with a [`RunSpec`], and run
+//! it with [`bench::run_experiment`]. Because the simulator is
+//! deterministic, the result is a pure function of the experiment and
+//! the run spec — the same document `expt --format json` writes.
 //!
 //! ```
-//! use hydrascalar::bench::api::handle;
-//! use hydrascalar::bench::RunSpec;
-//! use hydrascalar::{Request, Response};
+//! use hydrascalar::bench::results::experiment_doc;
+//! use hydrascalar::bench::{lookup, run_experiment};
+//! use hydrascalar::RunSpec;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let run = RunSpec::builder().seed(7).fast_forward(200).horizon(2_000).build();
-//! let request = Request::new("table1", run);
+//! let experiment = lookup("table1")?;
 //!
-//! // Run the experiment in-process (one worker is plenty here) and get
-//! // back the same result document `expt --format json` writes.
-//! let response = handle(&request, 1)?;
-//! assert_eq!(response.experiment, "table1");
-//! assert!(!response.title.is_empty());
+//! // One worker is plenty here; the result is the same for any count.
+//! let result = run_experiment(experiment.as_ref(), &run, 1);
+//! assert!(result.table.render().contains("return-address stack"));
 //!
-//! // Both documents round-trip losslessly.
-//! assert_eq!(Response::from_json(&response.to_json()), Ok(response));
-//! assert_eq!(Request::from_json(&request.to_json()), Ok(request));
+//! let doc = experiment_doc(experiment.as_ref(), &run, &result);
+//! assert_eq!(doc.get("experiment").and_then(|e| e.as_str()), Some("table1"));
 //! # Ok(())
 //! # }
 //! ```
@@ -129,11 +123,10 @@ pub use hydra_isa as isa;
 pub use hydra_mem as mem;
 pub use hydra_pipeline as pipeline;
 pub use hydra_stats as stats;
-pub use hydra_trace as trace;
 pub use hydra_workloads as workloads;
 pub use ras_core as ras;
 
-pub use hydra_bench::{Request, Response, RunSpec};
+pub use hydra_bench::{trace, RunSpec};
 pub use hydra_isa::{Addr, FastCore, FunctionalCore, Inst, Machine, Program, ProgramBuilder, Reg};
 pub use hydra_pipeline::{
     Core, CoreConfig, CoreConfigBuilder, CoreHandle, HartId, MultipathConfig, RasSharing,
