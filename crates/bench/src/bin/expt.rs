@@ -36,7 +36,7 @@
 //! Every failure is a typed [`hydra_bench::Error`]; `main` is the single
 //! place errors are printed.
 
-use hydra_bench::golden::{check, DiffOptions};
+use hydra_bench::golden::check;
 use hydra_bench::results::{sink_for, write_out_dir, Format};
 use hydra_bench::trace::{run_core, Trace, TraceEvent, TraceFilter};
 use hydra_bench::{
@@ -92,7 +92,7 @@ static ALLOC: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
 
 const USAGE: &str = "usage: expt --list\n\
        expt <name>... | all  [--jobs N] [--format table|json|csv] [--out DIR]\n\
-                             [-v|-q] [--trace FILE] [--trace-filter KINDS] [--profile]\n\
+                             [-v|-q] [--trace FILE] [--trace-filter KINDS]\n\
        expt --check-golden [<name>... | all] [--goldens DIR] [--jobs N]\n\
        expt run [--workload NAME] [--seed S] [--warmup N] [--instructions N] [--golden]\n\
                 [--return-predictor ras|self-ckpt|btb|perfect] [--ras-entries N]\n\
@@ -148,7 +148,6 @@ struct Cli {
     verbose: bool,
     trace: Option<PathBuf>,
     trace_filter: TraceFilter,
-    profile: bool,
     validate_trace: Option<PathBuf>,
     machine: Machine,
 }
@@ -235,7 +234,6 @@ fn parse(args: &[String]) -> Result<Cli, Error> {
         verbose: false,
         trace: None,
         trace_filter: TraceFilter::default(),
-        profile: false,
         validate_trace: None,
         machine: Machine::default(),
     };
@@ -257,7 +255,6 @@ fn parse(args: &[String]) -> Result<Cli, Error> {
             "--help" | "-h" => cli.list = true, // --help shows the list too
             "--quiet" | "-q" => cli.quiet = true,
             "--verbose" | "-v" => cli.verbose = true,
-            "--profile" => cli.profile = true,
             "--check-golden" => cli.check_golden = true,
             "--golden" => cli.machine.golden = true,
             "--trace" => cli.trace = Some(PathBuf::from(value("an output file")?)),
@@ -498,9 +495,6 @@ fn run(args: Vec<String>) -> Result<ExitCode, Error> {
     }
     if let (Some(trace), Some(path)) = (&trace, &cli.trace) {
         write_trace(trace, path)?;
-    }
-    if cli.profile {
-        write_profile(cli.out.as_deref())?;
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -820,24 +814,6 @@ fn write_trace(trace: &Trace, path: &Path) -> Result<(), Error> {
     Ok(())
 }
 
-/// Dumps the global metrics registry: to `DIR/PROFILE_expt.json` when
-/// `--out` is set, to stderr otherwise.
-fn write_profile(out: Option<&Path>) -> Result<(), Error> {
-    let doc = hydra_bench::metrics::metrics().to_json();
-    match out {
-        Some(dir) => {
-            std::fs::create_dir_all(dir)
-                .map_err(|io| Error::io(format!("creating {}", dir.display()), io))?;
-            let path = dir.join("PROFILE_expt.json");
-            std::fs::write(&path, doc.pretty())
-                .map_err(|io| Error::io(format!("writing {}", path.display()), io))?;
-            info!("wrote profile metrics to {}", path.display());
-        }
-        None => eprintln!("{}", doc.pretty()),
-    }
-    Ok(())
-}
-
 /// `--validate-trace`: strict-parses a Chrome trace file and checks it
 /// has a non-empty `traceEvents` array. Used by CI's trace smoke step.
 fn validate_trace(path: &Path) -> Result<ExitCode, Error> {
@@ -866,10 +842,9 @@ fn check_goldens(cli: &Cli, workers: usize) -> Result<ExitCode, Error> {
     // check means the same thing in every environment.
     let rs = RunSpec::quick();
     let selected = select(&cli.names, true)?;
-    let opts = DiffOptions::default();
     let mut failures = 0usize;
     for e in &selected {
-        match check(e.as_ref(), &rs, workers, &cli.goldens, &opts) {
+        match check(e.as_ref(), &rs, workers, &cli.goldens) {
             Ok(()) => println!("golden {:<16} ok", e.name()),
             Err(source) => {
                 failures += 1;

@@ -9,8 +9,9 @@
 //!
 //! No external dependencies: the pool is `std::thread::scope` plus an
 //! atomic work-stealing cursor. Jobs are pure functions of their inputs
-//! (each regenerates its workload from `(spec, seed)`), which is what
-//! makes the fan-out safe and the merge order-independent.
+//! (most regenerate their workload from `(spec, seed)`; a sweep's resume
+//! jobs share one immutable generated workload), which is what makes the
+//! fan-out safe and the merge order-independent.
 //!
 //! Observability rides along: per-job wall time is captured in a
 //! [`hydra_stats::Summary`], and throughput ([`hydra_stats::Meter`]s for
@@ -40,8 +41,10 @@ const JOB_MS_HIST_CAP: usize = 60_000;
 /// One independent unit of simulation work.
 ///
 /// Jobs carry everything needed to run in isolation on any worker
-/// thread; in particular they carry the *workload spec and seed*, not a
-/// generated program, so a job is cheap to construct and ship.
+/// thread. Most carry the *workload spec and seed*, not a generated
+/// program, so a job is cheap to construct and ship; a sweep's
+/// [`JobKind::Resume`] jobs share one generated workload per program
+/// through an `Arc` instead, since its planner generates it anyway.
 #[derive(Debug, Clone)]
 pub struct SimJob {
     /// Human-readable identity, e.g. `"gcc × TOS pointer"`; used in
@@ -108,11 +111,10 @@ pub enum JobKind {
     /// point, so the functional fast-forward — identical for all of
     /// them — is paid once instead of per configuration.
     Resume {
-        /// Workload generation profile (regenerated per job; snapshots
-        /// carry machine state, not the program image).
-        spec: WorkloadSpec,
-        /// Workload generation seed — must match the snapshot's donor.
-        seed: u64,
+        /// The snapshot donor's workload, generated once by the planner
+        /// and shared across the lattice (snapshots carry machine state,
+        /// not the program image).
+        workload: Arc<Workload>,
         /// The quiescent fast-forward snapshot shared across the
         /// lattice (cheap to clone into each job).
         snapshot: Arc<Vec<u8>>,
@@ -178,19 +180,17 @@ impl SimJob {
     }
 
     /// A warm-start job forking a shared fast-forward `snapshot` of
-    /// `spec` × `seed` onto `config` (see [`JobKind::Resume`]).
+    /// `workload` onto `config` (see [`JobKind::Resume`]).
     pub fn resume(
-        spec: &WorkloadSpec,
-        seed: u64,
+        workload: Arc<Workload>,
         snapshot: Arc<Vec<u8>>,
         config: CoreConfig,
         horizon: u64,
     ) -> Self {
         SimJob {
-            label: spec.name.clone(),
+            label: workload.name().to_string(),
             kind: JobKind::Resume {
-                spec: spec.clone(),
-                seed,
+                workload,
                 snapshot,
                 config,
                 horizon,
@@ -292,14 +292,12 @@ fn run_job_traced(job: &SimJob, mut trace: Option<&mut Trace>) -> JobOutput {
             JobOutput::SmtStats(run_system(&mut sys, *horizon, trace))
         }
         JobKind::Resume {
-            spec,
-            seed,
+            workload,
             snapshot,
             config,
             horizon,
         } => {
-            let w = Workload::generate(spec, *seed).expect("job spec generates");
-            let mut core = Core::resume_reconfigured(snapshot, w.program(), *config)
+            let mut core = Core::resume_reconfigured(snapshot, workload.program(), *config)
                 .expect("sweep snapshot is quiescent and matches its workload");
             // A quiescent resume starts with zeroed statistics, so the
             // measurement window begins immediately — no reset needed.
@@ -397,8 +395,7 @@ impl EngineReport {
 
     /// The report as a JSON object for the `BENCH_expt.json` perf
     /// artifact. Every field except `jobs`/`workers` is a wall-clock
-    /// measurement (`_ms` / `_per_sec` suffixes mark them for the golden
-    /// differ's timing tolerance).
+    /// measurement, marked by its `_ms` or `_per_sec` suffix.
     pub fn to_json(&self) -> hydra_stats::Json {
         use hydra_stats::Json;
         let times = self.job_time_summary();
@@ -579,16 +576,6 @@ pub fn execute_traced(
     jobs_per_sec.set_window(wall);
     sim_cycles_per_sec.set_window(wall);
     sim_instrs_per_sec.set_window(wall);
-
-    let m = crate::metrics::metrics();
-    m.counter_add("engine.jobs", jobs_per_sec.events());
-    m.counter_add("engine.sim_cycles", sim_cycles_per_sec.events());
-    m.counter_add("engine.sim_instrs", sim_instrs_per_sec.events());
-    m.counter_add("engine.wall_us", wall.as_micros() as u64);
-    m.gauge_set("engine.workers", workers as f64);
-    for &ms in &job_millis {
-        m.histogram_record("engine.job_ms", ms.round() as u64, JOB_MS_HIST_CAP);
-    }
 
     let report = EngineReport {
         workers,

@@ -7,14 +7,9 @@
 //! is a real behavioural change — a perturbed repair mechanism, a
 //! changed workload generator, a reordered table — and fails the gate.
 //!
-//! Two field classes, told apart by name (see [`is_timing_key`]):
-//!
-//! * **result fields** — everything derived from simulation; compared
-//!   *exactly* (numbers bit-for-bit, strings byte-for-byte);
-//! * **timing fields** — wall-clock measurements (`*_ms`, `*_per_sec`);
-//!   compared with a relative tolerance so the same differ can diff
-//!   perf-trajectory documents (`BENCH_expt.json`) without failing on
-//!   machine noise. Result goldens contain none, by construction.
+//! Every field compares *exactly*: numbers bit-for-bit, strings
+//! byte-for-byte. Result documents carry no wall-clock field, so no field
+//! needs a tolerance.
 //!
 //! Regenerating after an *intentional* result change:
 //!
@@ -30,25 +25,6 @@ use std::path::{Path, PathBuf};
 use crate::experiments::{run_experiment, Experiment};
 use crate::results::{experiment_doc, SCHEMA_VERSION};
 use crate::RunSpec;
-
-/// How [`diff`] compares two documents.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DiffOptions {
-    /// Relative tolerance for timing fields: values `e` (expected) and
-    /// `a` (actual) match when `|a - e| <= timing_rel_tol * max(|e|, 1)`.
-    /// Result fields always compare exactly regardless of this value.
-    pub timing_rel_tol: f64,
-}
-
-impl Default for DiffOptions {
-    fn default() -> Self {
-        // Generous by design: timing comparisons exist to catch
-        // order-of-magnitude perf cliffs, not scheduler jitter.
-        DiffOptions {
-            timing_rel_tol: 3.0,
-        }
-    }
-}
 
 /// One structural difference between an expected and an actual document.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,37 +42,19 @@ impl fmt::Display for Mismatch {
     }
 }
 
-/// Whether a member key names a wall-clock measurement.
-///
-/// Timing keys get tolerance in [`diff`]; everything else is exact. The
-/// convention is enforced at the source: every timing field the engine
-/// serializes carries one of these suffixes.
-pub fn is_timing_key(key: &str) -> bool {
-    key.ends_with("_ms") || key.ends_with("_per_sec") || key.ends_with("_nanos")
-}
-
-/// Structurally compares `actual` against `expected`.
+/// Structurally compares `actual` against `expected`, exactly.
 ///
 /// Objects must have the same keys in the same order (member order is
-/// part of the deterministic-output contract), arrays the same length;
-/// numbers compare exactly unless the nearest enclosing object key is a
-/// timing key (see [`is_timing_key`]), in which case
-/// [`DiffOptions::timing_rel_tol`] applies. Returns every mismatch, not
-/// just the first.
-pub fn diff(expected: &Json, actual: &Json, opts: &DiffOptions) -> Vec<Mismatch> {
+/// part of the deterministic-output contract), arrays the same length,
+/// and every other value must be equal. Returns every mismatch, not just
+/// the first.
+pub fn diff(expected: &Json, actual: &Json) -> Vec<Mismatch> {
     let mut out = Vec::new();
-    walk(expected, actual, opts, "", false, &mut out);
+    walk(expected, actual, "", &mut out);
     out
 }
 
-fn walk(
-    expected: &Json,
-    actual: &Json,
-    opts: &DiffOptions,
-    path: &str,
-    timing: bool,
-    out: &mut Vec<Mismatch>,
-) {
+fn walk(expected: &Json, actual: &Json, path: &str, out: &mut Vec<Mismatch>) {
     let push = |out: &mut Vec<Mismatch>, detail: String| {
         out.push(Mismatch {
             path: if path.is_empty() {
@@ -108,26 +66,6 @@ fn walk(
         });
     };
     match (expected, actual) {
-        (Json::Num(e), Json::Num(a)) => {
-            let matches = if timing {
-                (a - e).abs() <= opts.timing_rel_tol * e.abs().max(1.0)
-            } else {
-                e == a
-            };
-            if !matches {
-                push(
-                    out,
-                    format!(
-                        "expected {e}, got {a}{}",
-                        if timing {
-                            " (beyond timing tolerance)"
-                        } else {
-                            ""
-                        }
-                    ),
-                );
-            }
-        }
         (Json::Obj(e), Json::Obj(a)) => {
             let ekeys: Vec<&str> = e.iter().map(|(k, _)| k.as_str()).collect();
             let akeys: Vec<&str> = a.iter().map(|(k, _)| k.as_str()).collect();
@@ -139,14 +77,7 @@ fn walk(
                 return;
             }
             for ((k, ev), (_, av)) in e.iter().zip(a) {
-                walk(
-                    ev,
-                    av,
-                    opts,
-                    &format!("{path}/{k}"),
-                    timing || is_timing_key(k),
-                    out,
-                );
+                walk(ev, av, &format!("{path}/{k}"), out);
             }
         }
         (Json::Arr(e), Json::Arr(a)) => {
@@ -162,7 +93,7 @@ fn walk(
                 return;
             }
             for (i, (ev, av)) in e.iter().zip(a).enumerate() {
-                walk(ev, av, opts, &format!("{path}/{i}"), timing, out);
+                walk(ev, av, &format!("{path}/{i}"), out);
             }
         }
         (e, a) if e == a => {}
@@ -228,7 +159,6 @@ pub fn check(
     rs: &RunSpec,
     workers: usize,
     goldens_dir: &Path,
-    opts: &DiffOptions,
 ) -> Result<(), GoldenError> {
     let path = goldens_dir.join(format!("{}.json", experiment.name()));
     let text = std::fs::read_to_string(&path).map_err(|e| {
@@ -252,7 +182,7 @@ pub fn check(
     }
     let run = run_experiment(experiment, rs, workers);
     let actual = experiment_doc(experiment, rs, &run);
-    let mismatches = diff(&golden, &actual, opts);
+    let mismatches = diff(&golden, &actual);
     if mismatches.is_empty() {
         Ok(())
     } else {
@@ -264,81 +194,23 @@ pub fn check(
 mod tests {
     use super::*;
 
-    fn exact() -> DiffOptions {
-        DiffOptions {
-            timing_rel_tol: 0.0,
-        }
-    }
-
     #[test]
     fn identical_documents_have_no_mismatches() {
         let doc = Json::obj([
             ("a", Json::num(1.5)),
             ("b", Json::arr([Json::str("x"), Json::Null])),
         ]);
-        assert!(diff(&doc, &doc.clone(), &exact()).is_empty());
+        assert!(diff(&doc, &doc.clone()).is_empty());
     }
 
     #[test]
     fn result_fields_compare_exactly() {
         let e = Json::obj([("return_hit_rate", Json::num(97.12))]);
         let a = Json::obj([("return_hit_rate", Json::num(97.13))]);
-        let ms = diff(
-            &e,
-            &a,
-            &DiffOptions {
-                timing_rel_tol: 100.0,
-            },
-        );
+        let ms = diff(&e, &a);
         assert_eq!(ms.len(), 1);
         assert_eq!(ms[0].path, "/return_hit_rate");
         assert!(ms[0].detail.contains("97.12"));
-    }
-
-    #[test]
-    fn timing_fields_get_relative_tolerance() {
-        let e = Json::obj([("wall_ms", Json::num(100.0))]);
-        let within = Json::obj([("wall_ms", Json::num(140.0))]);
-        let beyond = Json::obj([("wall_ms", Json::num(500.0))]);
-        let opts = DiffOptions {
-            timing_rel_tol: 0.5,
-        };
-        assert!(diff(&e, &within, &opts).is_empty());
-        let ms = diff(&e, &beyond, &opts);
-        assert_eq!(ms.len(), 1);
-        assert!(ms[0].detail.contains("timing tolerance"));
-    }
-
-    #[test]
-    fn timing_tolerance_extends_into_nested_values() {
-        // job_ms is a timing key whose value is an object (a Summary);
-        // everything inside inherits the tolerance.
-        let e = Json::obj([(
-            "job_ms",
-            Json::obj([("mean", Json::num(10.0)), ("count", Json::num(4.0))]),
-        )]);
-        let a = Json::obj([(
-            "job_ms",
-            Json::obj([("mean", Json::num(14.0)), ("count", Json::num(4.0))]),
-        )]);
-        assert!(diff(
-            &e,
-            &a,
-            &DiffOptions {
-                timing_rel_tol: 0.5
-            }
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn timing_keys_follow_the_suffix_convention() {
-        for timing in ["wall_ms", "job_ms", "jobs_per_sec", "window_nanos"] {
-            assert!(is_timing_key(timing), "{timing}");
-        }
-        for result in ["return_hit_rate", "ipc", "committed", "milliseconds"] {
-            assert!(!is_timing_key(result), "{result}");
-        }
     }
 
     #[test]
@@ -348,16 +220,16 @@ mod tests {
             "rows",
             Json::arr([Json::arr([Json::num(1.0)]), Json::arr([Json::num(2.0)])]),
         )]);
-        let ms = diff(&e, &longer, &exact());
+        let ms = diff(&e, &longer);
         assert_eq!(ms[0].path, "/rows");
         assert!(ms[0].detail.contains("length"));
 
         let renamed = Json::obj([("rowz", Json::arr([]))]);
-        let ms = diff(&e, &renamed, &exact());
+        let ms = diff(&e, &renamed);
         assert!(ms[0].detail.contains("keys differ"));
 
         let retyped = Json::obj([("rows", Json::str("nope"))]);
-        let ms = diff(&e, &retyped, &exact());
+        let ms = diff(&e, &retyped);
         assert_eq!(ms[0].path, "/rows");
     }
 
@@ -365,7 +237,7 @@ mod tests {
     fn every_mismatch_is_reported_not_just_the_first() {
         let e = Json::arr([Json::num(1.0), Json::num(2.0), Json::num(3.0)]);
         let a = Json::arr([Json::num(9.0), Json::num(2.0), Json::num(8.0)]);
-        let ms = diff(&e, &a, &exact());
+        let ms = diff(&e, &a);
         assert_eq!(ms.len(), 2);
         assert_eq!(ms[0].path, "/0");
         assert_eq!(ms[1].path, "/2");
@@ -378,18 +250,18 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let e = crate::experiments::find("table1").unwrap();
         let rs = RunSpec::quick();
-        match check(e.as_ref(), &rs, 1, &dir, &DiffOptions::default()) {
+        match check(e.as_ref(), &rs, 1, &dir) {
             Err(GoldenError::Missing(p)) => assert!(p.ends_with("table1.json")),
             other => panic!("expected Missing, got {other:?}"),
         }
         std::fs::write(dir.join("table1.json"), "{not json").unwrap();
         assert!(matches!(
-            check(e.as_ref(), &rs, 1, &dir, &DiffOptions::default()),
+            check(e.as_ref(), &rs, 1, &dir),
             Err(GoldenError::Unreadable(..))
         ));
         std::fs::write(dir.join("table1.json"), r#"{"schema_version": 999}"#).unwrap();
         assert!(matches!(
-            check(e.as_ref(), &rs, 1, &dir, &DiffOptions::default()),
+            check(e.as_ref(), &rs, 1, &dir),
             Err(GoldenError::SchemaMismatch { .. })
         ));
         let _ = std::fs::remove_dir_all(&dir);

@@ -59,7 +59,6 @@ pub mod error;
 pub mod experiments;
 pub mod golden;
 pub mod log;
-pub mod metrics;
 pub mod perf;
 pub mod report;
 pub mod results;
@@ -73,7 +72,7 @@ pub use error::Error;
 pub use experiments::{
     find, lookup, registry, run_experiment, run_experiment_traced, Experiment, ExperimentRun,
 };
-pub use golden::{diff, DiffOptions, GoldenError, Mismatch};
+pub use golden::{diff, GoldenError, Mismatch};
 pub use report::{render_report, write_report};
 pub use results::{Format, ResultSink, SCHEMA_VERSION};
 pub use sweep::SweepExperiment;

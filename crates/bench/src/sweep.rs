@@ -9,7 +9,8 @@
 //! 1. `plan()` fast-forwards each suite workload once on a scratch core
 //!    and serializes the quiescent state ([`Core::save_snapshot`]).
 //! 2. Every lattice point of that workload becomes a
-//!    [`JobKind::Resume`] job sharing the snapshot bytes via `Arc` —
+//!    [`JobKind::Resume`] job sharing the snapshot bytes and the
+//!    generated workload via `Arc` —
 //!    the job forks the snapshot onto its own configuration with
 //!    [`Core::resume_reconfigured`] and runs only the measurement
 //!    window.
@@ -106,7 +107,11 @@ impl Experiment for SweepExperiment {
         let repairs = sweep_repairs();
         let mut jobs = Vec::with_capacity(suite_specs(rs).len() * self.lattice_points());
         for (spec, seed) in suite_specs(rs) {
-            let w = Workload::generate(&spec, seed).expect("suite spec generates");
+            let w = Arc::new(Workload::generate(&spec, seed).expect("suite spec generates"));
+            // Cache the fingerprint in the shared image before the donor
+            // copies it, so the donor's snapshot and every resume job
+            // reuse one computation.
+            w.program().fingerprint();
             let mut donor = Core::new(CoreConfig::baseline(), w.program());
             donor.fast_forward(rs.fast_forward);
             let snapshot = Arc::new(donor.save_snapshot());
@@ -115,7 +120,7 @@ impl Experiment for SweepExperiment {
                     let config =
                         CoreConfig::with_return_predictor(ReturnPredictor::Ras { entries, repair });
                     jobs.push(
-                        SimJob::resume(&spec, seed, Arc::clone(&snapshot), config, rs.horizon)
+                        SimJob::resume(Arc::clone(&w), Arc::clone(&snapshot), config, rs.horizon)
                             .tagged(format!("{entries} × {tag}")),
                     );
                 }
@@ -186,19 +191,23 @@ mod tests {
         let rs = small_rs();
         let jobs = sweep.plan(&rs);
         assert_eq!(jobs.len(), 8 * 2 * 6);
-        // Every job of one workload shares the same snapshot allocation.
-        let crate::engine::JobKind::Resume {
-            snapshot: first, ..
-        } = &jobs[0].kind
-        else {
-            panic!("sweep plans Resume jobs");
+        // Every job of one workload shares the same snapshot and program
+        // allocations; the next workload has its own.
+        let shared = |job: &SimJob| match &job.kind {
+            crate::engine::JobKind::Resume {
+                workload, snapshot, ..
+            } => (Arc::clone(workload), Arc::clone(snapshot)),
+            _ => panic!("sweep plans Resume jobs"),
         };
+        let (first_w, first_s) = shared(&jobs[0]);
         for job in &jobs[1..12] {
-            let crate::engine::JobKind::Resume { snapshot, .. } = &job.kind else {
-                panic!("sweep plans Resume jobs");
-            };
-            assert!(Arc::ptr_eq(first, snapshot), "fast-forward paid twice");
+            let (w, s) = shared(job);
+            assert!(Arc::ptr_eq(&first_s, &s), "fast-forward paid twice");
+            assert!(Arc::ptr_eq(&first_w, &w), "program generated twice");
         }
+        let (next_w, _) = shared(&jobs[12]);
+        assert!(!Arc::ptr_eq(&first_w, &next_w));
+        assert_ne!(next_w.name(), first_w.name());
     }
 
     #[test]
@@ -238,13 +247,12 @@ mod tests {
         let (warm, _) = execute(&jobs[..6], 2);
         for (job, out) in jobs[..6].iter().zip(&warm) {
             let crate::engine::JobKind::Resume {
-                spec, seed, config, ..
+                workload, config, ..
             } = &job.kind
             else {
                 panic!("sweep plans Resume jobs");
             };
-            let w = Workload::generate(spec, *seed).expect("generates");
-            let mut cold = Core::new(*config, w.program());
+            let mut cold = Core::new(*config, workload.program());
             cold.fast_forward(rs.fast_forward);
             let cold_stats = cold.run(rs.horizon);
             let JobOutput::Cycle {

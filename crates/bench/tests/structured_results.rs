@@ -3,7 +3,7 @@
 //! any worker count, the committed quick-mode goldens must verify
 //! in-process, and the `expt` CLI must speak every format.
 
-use hydra_bench::golden::{check, DiffOptions, GoldenError};
+use hydra_bench::golden::{check, GoldenError};
 use hydra_bench::results::{experiment_doc, sink_for, suite_doc, write_out_dir, Format};
 use hydra_bench::{find, run_experiment, RunSpec};
 use hydra_stats::Json;
@@ -56,10 +56,9 @@ fn committed_goldens_verify_at_quick_sizing() {
     // against the goldens actually committed in the repository. CI runs
     // `expt --check-golden` over everything.
     let rs = RunSpec::quick();
-    let opts = DiffOptions::default();
     for name in ["table1", "fig-analytical", "table2"] {
         let e = find(name).expect("registered");
-        if let Err(err) = check(e.as_ref(), &rs, 4, &goldens_dir(), &opts) {
+        if let Err(err) = check(e.as_ref(), &rs, 4, &goldens_dir()) {
             panic!("golden check failed for {name}: {err}");
         }
     }
@@ -77,7 +76,7 @@ fn tampered_golden_is_detected() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("table1.json"), tampered).unwrap();
-    match check(e.as_ref(), &rs, 1, &dir, &DiffOptions::default()) {
+    match check(e.as_ref(), &rs, 1, &dir) {
         Err(GoldenError::Mismatched(ms)) => {
             assert!(
                 ms.iter().any(|m| m.path.starts_with("/table/rows")),

@@ -259,7 +259,6 @@ pub struct Core {
 
     // Persistent scratch buffers for squash bookkeeping, taken with
     // `mem::take` while in use so their capacity survives across calls.
-    scratch_subtree: Vec<PathId>,
     scratch_killed: Vec<PathId>,
     scratch_released: Vec<CkptHandle>,
     scratch_seqs: Vec<u64>,
@@ -348,7 +347,6 @@ impl Core {
             golden: None,
             tap: Tap::default(),
             occupancy: Occupancy::new(&config),
-            scratch_subtree: Vec::new(),
             scratch_killed: Vec::new(),
             scratch_released: Vec::new(),
             scratch_seqs: Vec::new(),
@@ -914,24 +912,22 @@ impl Core {
         };
 
         if let Some(child) = forked_child {
+            // The losing arm stops and its continuation after the branch
+            // is squashed. When the child loses, that continuation is the
+            // whole child subtree: its micro-ops all sit after `seq` and
+            // its descendants all forked after it. When the parent loses,
+            // the child forked at exactly `seq` survives, and the parent's
+            // stack is retained: if an even older branch on the parent
+            // later mispredicts, the parent is revived as the correct
+            // continuation.
+            let loser = if correct { child } else { path };
+            self.paths.retire_path(loser);
             if correct {
-                // The fetched (predicted) arm wins: the child subtree dies.
-                let mut subtree = std::mem::take(&mut self.scratch_subtree);
-                subtree.clear();
-                self.paths.kill_subtree_into(child, &mut subtree);
-                self.squash_paths(&subtree, LostCause::BranchMispredict);
-                self.scratch_subtree = subtree;
+                self.ras.on_path_death(child);
             } else {
-                // The forked arm wins: squash the parent's continuation
-                // (strictly younger than the branch; the child forked at
-                // exactly `seq` survives) and stop the parent's fetch.
-                // The parent's stack is retained: if an even older branch
-                // on the parent later mispredicts, the parent is revived
-                // as the correct continuation.
-                self.squash_lineage(path, seq, LostCause::BranchMispredict);
-                self.paths.retire_path(path);
                 self.path_ctx[path.index()].fetch_stopped = true;
             }
+            self.squash_lineage(loser, seq, LostCause::BranchMispredict);
             return;
         }
 
@@ -1045,11 +1041,15 @@ impl Core {
         for _ in 0..self.fetch_queue.len() {
             let (ready, slot) = self.fetch_queue.pop_front().expect("counted");
             let su = slot as usize;
-            let (upath, useq, usq) = {
+            let (upath, useq) = {
                 let u = &self.slab[su];
-                (u.path, u.seq, u.squashed)
+                debug_assert!(
+                    !u.squashed,
+                    "fetch-queue micro-ops are never marked squashed"
+                );
+                (u.path, u.seq)
             };
-            if !usq && self.paths.on_lineage(upath, useq, base, min_seq) {
+            if self.paths.on_lineage(upath, useq, base, min_seq) {
                 squashed_seqs.push(useq);
                 self.stats.squashed_uops += 1;
                 if let Some(handle) = self.slab[su].ras_ckpt.take() {
@@ -1063,80 +1063,6 @@ impl Core {
         }
         self.emit(Event::Squash {
             path: base.index() as u32,
-            uops: squashed_seqs.len() as u32,
-        });
-        for handle in released.drain(..) {
-            self.ras.release(handle);
-        }
-        self.scratch_released = released;
-        if self.tap.on(EventClass::Pipe) {
-            for &seq in &squashed_seqs {
-                self.emit(Event::Uop {
-                    seq,
-                    stage: UopStage::Squash,
-                });
-            }
-        }
-        self.scratch_seqs = squashed_seqs;
-    }
-
-    /// Squashes every micro-op belonging to the given (killed) paths,
-    /// charging their eventual drain slots to `cause`.
-    fn squash_paths(&mut self, killed: &[PathId], cause: LostCause) {
-        for &q in killed {
-            self.ras.on_path_death(q);
-        }
-        let mut released = std::mem::take(&mut self.scratch_released);
-        let mut squashed_seqs = std::mem::take(&mut self.scratch_seqs);
-        released.clear();
-        squashed_seqs.clear();
-        for i in 0..self.ruu.len() {
-            let su = self.ruu[i] as usize;
-            let (useq, handle) = {
-                let u = &mut self.slab[su];
-                if u.squashed || !killed.contains(&u.path) {
-                    continue;
-                }
-                u.squashed = true;
-                u.squash_cause = cause;
-                (u.seq, u.ras_ckpt.take())
-            };
-            squashed_seqs.push(useq);
-            self.stats.squashed_uops += 1;
-            if let Some(handle) = handle {
-                self.emit(Event::RasRelease { id: useq });
-                released.push(handle);
-            }
-        }
-        {
-            let lsq = &mut self.lsq;
-            let mut s = lsq.head;
-            while s != NIL {
-                let e = &mut lsq.entries[s as usize];
-                if killed.contains(&e.path) {
-                    e.squashed = true;
-                }
-                s = lsq.next[s as usize];
-            }
-        }
-        for _ in 0..self.fetch_queue.len() {
-            let (ready, slot) = self.fetch_queue.pop_front().expect("counted");
-            let su = slot as usize;
-            if killed.contains(&self.slab[su].path) {
-                let useq = self.slab[su].seq;
-                squashed_seqs.push(useq);
-                self.stats.squashed_uops += 1;
-                if let Some(handle) = self.slab[su].ras_ckpt.take() {
-                    self.emit(Event::RasRelease { id: useq });
-                    released.push(handle);
-                }
-                self.free_slot(slot);
-            } else {
-                self.fetch_queue.push_back((ready, slot));
-            }
-        }
-        self.emit(Event::Squash {
-            path: killed.first().map_or(0, |p| p.index() as u32),
             uops: squashed_seqs.len() as u32,
         });
         for handle in released.drain(..) {
@@ -2321,8 +2247,9 @@ mod multipath_regressions {
     /// core wedges).
     ///
     /// Bug 2: a retired path inside a killed subtree must still have its
-    /// in-flight micro-ops squashed (`kill_subtree` must return subtree
-    /// membership, not just live paths), or wrong-path micro-ops commit.
+    /// in-flight micro-ops squashed (`kill_forks_after_into` must return
+    /// subtree membership, not just live paths), or wrong-path micro-ops
+    /// commit.
     #[test]
     fn retired_fork_parents_are_revived_and_squashed_correctly() {
         for (seed, paths) in [(10u64, 3usize), (10, 2), (10, 4), (491, 3), (7, 4)] {

@@ -228,8 +228,8 @@ impl PathTable {
     }
 
     /// [`PathTable::kill_subtree`] appending into a caller-provided
-    /// buffer instead of allocating (the hot-path form).
-    pub fn kill_subtree_into(&mut self, root: PathId, out: &mut Vec<PathId>) {
+    /// buffer instead of allocating.
+    fn kill_subtree_into(&mut self, root: PathId, out: &mut Vec<PathId>) {
         let start = out.len();
         let mut cur = root;
         loop {

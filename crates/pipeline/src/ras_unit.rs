@@ -22,7 +22,7 @@ use crate::config::{CoreConfig, RasSharing, ReturnPredictor};
 use crate::path::{HartId, PathId};
 use hydra_obs::{popflags, CauseHistogram, MispredictCause};
 use ras_core::{
-    CheckpointBudget, LinkCheckpoint, RasCheckpoint, RepairPolicy, ReturnAddressStack,
+    CheckpointBudget, LinkCheckpoint, RasCheckpoint, RasStats, RepairPolicy, ReturnAddressStack,
     SelfCheckpointingStack,
 };
 use std::collections::HashMap;
@@ -77,22 +77,156 @@ enum Mode {
     /// No stack: returns predicted from the BTB only.
     Off,
     /// Perfect per-path software stacks, perfectly repaired.
-    Oracle { stacks: HashMap<PathId, Vec<u64>> },
+    Oracle(StackTable<Vec<u64>>),
     /// Real hardware stacks.
     Real {
         repair: RepairPolicy,
-        /// One stack per path in per-path mode; a single entry keyed by
-        /// `PathId::ROOT` in unified/single-path mode.
-        stacks: HashMap<PathId, ReturnAddressStack>,
-        per_path: bool,
-        capacity: usize,
+        table: StackTable<ReturnAddressStack>,
     },
     /// Jourdan-style self-checkpointing stacks.
-    Jourdan {
-        stacks: HashMap<PathId, SelfCheckpointingStack>,
-        per_path: bool,
-        capacity: usize,
-    },
+    Jourdan(StackTable<SelfCheckpointingStack>),
+}
+
+/// Runs `$body` with `$t` bound to the mode's stack table, or yields
+/// `$off` when there is none. Each arm is monomorphic: no `dyn`.
+macro_rules! with_table {
+    ($mode:expr, $t:ident => $body:expr, off => $off:expr) => {
+        match $mode {
+            Mode::Off => $off,
+            Mode::Oracle($t) => $body,
+            Mode::Real { table: $t, .. } => $body,
+            Mode::Jourdan($t) => $body,
+        }
+    };
+}
+
+/// What a [`StackTable`] needs of the stack kind it holds.
+trait PathStack: Sized {
+    /// An empty stack of `capacity` entries.
+    fn new(capacity: usize) -> Self;
+    /// Overwrites `dst` with this stack's contents, zeroing its stats.
+    fn copy_into(&self, dst: &mut Self);
+    /// The stack's event counters.
+    fn stats(&self) -> RasStats;
+    /// Zeroes the stack's event counters.
+    fn reset_stats(&mut self);
+}
+
+/// The two hardware stacks share method names, so one impl fits both.
+macro_rules! hardware_path_stack {
+    ($($stack:ty),*) => {$(
+        impl PathStack for $stack {
+            fn new(capacity: usize) -> Self {
+                <$stack>::new(capacity)
+            }
+            fn copy_into(&self, dst: &mut Self) {
+                self.fork_into(dst);
+            }
+            fn stats(&self) -> RasStats {
+                *<$stack>::stats(self)
+            }
+            fn reset_stats(&mut self) {
+                <$stack>::reset_stats(self);
+            }
+        }
+    )*};
+}
+
+hardware_path_stack!(ReturnAddressStack, SelfCheckpointingStack);
+
+/// The oracle's unbounded software stack. It counts nothing, so oracle
+/// machines add nothing to [`RasUnitStats`].
+impl PathStack for Vec<u64> {
+    fn new(_capacity: usize) -> Self {
+        Vec::new()
+    }
+    fn copy_into(&self, dst: &mut Self) {
+        dst.clear();
+        dst.extend_from_slice(self);
+    }
+    fn stats(&self) -> RasStats {
+        RasStats::default()
+    }
+    fn reset_stats(&mut self) {}
+}
+
+/// One mode's stacks: a stack per key (path, or hart under hart keying)
+/// and the pool that dead stacks return to.
+#[derive(Debug, Clone)]
+struct StackTable<S> {
+    /// One stack per path when `per_path`; else one per hart, or a
+    /// single entry keyed by `PathId::ROOT` in unified/single-path mode.
+    stacks: HashMap<PathId, S>,
+    /// Whether stacks are keyed by path, copied at a fork and dropped at
+    /// a path's death (per-path multipath, and always the oracle).
+    per_path: bool,
+    capacity: usize,
+    /// Recycled stacks (and, for the oracle, checkpoint images): a fork
+    /// or an oracle checkpoint reuses one instead of allocating on the
+    /// hot path.
+    pool: Vec<S>,
+}
+
+impl<S: PathStack> StackTable<S> {
+    fn new(keys: &[PathId], per_path: bool, capacity: usize) -> Self {
+        StackTable {
+            stacks: keys.iter().map(|&k| (k, S::new(capacity))).collect(),
+            per_path,
+            capacity,
+            pool: Vec::new(),
+        }
+    }
+
+    /// The key of the stack a request on `path` uses (hart keying is
+    /// decided by the unit before this).
+    fn key(&self, path: PathId) -> PathId {
+        if self.per_path {
+            path
+        } else {
+            PathId::ROOT
+        }
+    }
+
+    /// Gives `child` a copy of `parent`'s stack, in a pooled buffer when
+    /// one is free, so a fork allocates nothing in steady state.
+    fn fork(&mut self, parent: PathId, child: PathId) {
+        if !self.per_path {
+            return;
+        }
+        let copy = match self.stacks.get(&parent) {
+            Some(p) => {
+                let mut copy = self.pool.pop().unwrap_or_else(|| S::new(self.capacity));
+                p.copy_into(&mut copy);
+                copy
+            }
+            None => S::new(self.capacity),
+        };
+        self.stacks.insert(child, copy);
+    }
+
+    /// Pools the stack of a dead path, keeping its counts in `dead`.
+    fn on_death(&mut self, path: PathId, dead: &mut RasUnitStats) {
+        if !self.per_path {
+            return;
+        }
+        if let Some(s) = self.stacks.remove(&path) {
+            dead.absorb(&s.stats());
+            self.pool.push(s);
+        }
+    }
+
+    /// Adds every live stack's counts to `out`.
+    fn absorb_stats(&self, out: &mut RasUnitStats) {
+        for s in self.stacks.values() {
+            out.absorb(&s.stats());
+        }
+    }
+
+    fn reset_stats(&mut self) {
+        for s in self.stacks.values_mut() {
+            s.reset_stats();
+        }
+    }
 }
 
 /// Aggregated RAS event counts across all stacks (including stacks of
@@ -115,7 +249,7 @@ pub struct RasUnitStats {
 
 impl RasUnitStats {
     /// Folds one stack's counters into the aggregate.
-    fn absorb(&mut self, s: &ras_core::RasStats) {
+    fn absorb(&mut self, s: &RasStats) {
         self.pushes += s.pushes;
         self.pops += s.pops;
         self.overflows += s.overflows;
@@ -137,14 +271,6 @@ pub struct RasUnit {
     hart_keyed: bool,
     budget: CheckpointBudget,
     stats: RasUnitStats,
-    /// Recycled oracle stack images (checkpoints and dead-path stacks):
-    /// taking an oracle checkpoint or forking a path reuses a pooled
-    /// buffer instead of allocating on the hot path.
-    oracle_pool: Vec<Vec<u64>>,
-    /// Recycled per-path hardware stacks, reused via `fork_into`.
-    real_pool: Vec<ReturnAddressStack>,
-    /// Recycled per-path self-checkpointing stacks.
-    jourdan_pool: Vec<SelfCheckpointingStack>,
     /// Forensics: the hart whose push/pop last touched the unit, used to
     /// flag cross-hart contention on stacks shared between harts.
     last_accessor: Option<HartId>,
@@ -191,20 +317,11 @@ impl RasUnit {
         };
         let mode = match config.return_predictor {
             ReturnPredictor::SelfCheckpointing { entries } => {
-                let capacity = slice(entries);
-                Mode::Jourdan {
-                    stacks: keys
-                        .iter()
-                        .map(|&k| (k, SelfCheckpointingStack::new(capacity)))
-                        .collect(),
-                    per_path,
-                    capacity,
-                }
+                Mode::Jourdan(StackTable::new(&keys, per_path, slice(entries)))
             }
             ReturnPredictor::BtbOnly => Mode::Off,
-            ReturnPredictor::Perfect => Mode::Oracle {
-                stacks: keys.iter().map(|&k| (k, Vec::new())).collect(),
-            },
+            // The oracle's stacks always follow paths.
+            ReturnPredictor::Perfect => Mode::Oracle(StackTable::new(&keys, true, 0)),
             ReturnPredictor::Ras { entries, repair } => {
                 // In multipath-unified mode the stack policy's repair
                 // overrides the single-path policy.
@@ -212,15 +329,9 @@ impl RasUnit {
                     Some(mp) => mp.stack_policy.repair().unwrap_or(repair),
                     None => repair,
                 };
-                let capacity = slice(entries);
                 Mode::Real {
                     repair,
-                    stacks: keys
-                        .iter()
-                        .map(|&k| (k, ReturnAddressStack::new(capacity)))
-                        .collect(),
-                    per_path,
-                    capacity,
+                    table: StackTable::new(&keys, per_path, slice(entries)),
                 }
             }
         };
@@ -233,9 +344,6 @@ impl RasUnit {
             hart_keyed,
             budget,
             stats: RasUnitStats::default(),
-            oracle_pool: Vec::new(),
-            real_pool: Vec::new(),
-            jourdan_pool: Vec::new(),
             last_accessor: None,
             lost_frames: HashMap::new(),
             last_pop_flags: 0,
@@ -253,116 +361,33 @@ impl RasUnit {
         if self.hart_keyed {
             return PathId::from_index(hart.index());
         }
-        match &self.mode {
-            Mode::Real {
-                per_path: false, ..
-            }
-            | Mode::Jourdan {
-                per_path: false, ..
-            } => PathId::ROOT,
-            _ => path,
-        }
+        with_table!(&self.mode, t => t.key(path), off => path)
     }
 
     /// A new path was forked from `parent`: copy the stack in per-path
     /// (and oracle) modes; a unified stack is shared as-is.
     pub fn on_fork(&mut self, parent: PathId, child: PathId) {
-        match &mut self.mode {
-            Mode::Off => {}
-            Mode::Oracle { stacks } => {
-                let mut copy = self.oracle_pool.pop().unwrap_or_default();
-                copy.clear();
-                if let Some(parent_stack) = stacks.get(&parent) {
-                    copy.extend_from_slice(parent_stack);
-                }
-                stacks.insert(child, copy);
-            }
-            Mode::Real {
-                stacks,
-                per_path,
-                capacity,
-                ..
-            } => {
-                if *per_path {
-                    let cap = *capacity;
-                    // Fork into a pooled stack when one is available so
-                    // the fork path allocates nothing in steady state.
-                    let copy = match (stacks.get(&parent), self.real_pool.pop()) {
-                        (Some(p), Some(mut pooled)) => {
-                            p.fork_into(&mut pooled);
-                            pooled
-                        }
-                        (Some(p), None) => p.fork(),
-                        (None, _) => ReturnAddressStack::new(cap),
-                    };
-                    stacks.insert(child, copy);
-                }
-            }
-            Mode::Jourdan {
-                stacks,
-                per_path,
-                capacity,
-            } => {
-                if *per_path {
-                    let cap = *capacity;
-                    let copy = match (stacks.get(&parent), self.jourdan_pool.pop()) {
-                        (Some(p), Some(mut pooled)) => {
-                            p.fork_into(&mut pooled);
-                            pooled
-                        }
-                        (Some(p), None) => p.fork(),
-                        (None, _) => SelfCheckpointingStack::new(cap),
-                    };
-                    stacks.insert(child, copy);
-                }
-            }
-        }
+        with_table!(&mut self.mode, t => t.fork(parent, child), off => {});
         // Per-path stacks inherit the parent's outstanding lost-frame
         // debt along with its contents.
-        if !self.hart_keyed {
-            if let Mode::Real { per_path: true, .. } = self.mode {
-                if let Some(&lost) = self.lost_frames.get(&parent) {
-                    if lost > 0 {
-                        self.lost_frames.insert(child, lost);
-                    }
+        let per_path_real = matches!(&self.mode, Mode::Real { table, .. } if table.per_path);
+        if per_path_real && !self.hart_keyed {
+            if let Some(&lost) = self.lost_frames.get(&parent) {
+                if lost > 0 {
+                    self.lost_frames.insert(child, lost);
                 }
             }
         }
     }
 
-    /// A path died: harvest its private stack into the reuse pool.
+    /// A path died: harvest its private stack into the reuse pool. Only
+    /// fork children die, never `PathId::ROOT`.
     pub fn on_path_death(&mut self, path: PathId) {
-        if !self.hart_keyed && path != PathId::ROOT {
+        debug_assert_ne!(path, PathId::ROOT, "the root path never dies");
+        if !self.hart_keyed {
             self.lost_frames.remove(&path);
         }
-        match &mut self.mode {
-            Mode::Off => {}
-            Mode::Oracle { stacks } => {
-                if let Some(s) = stacks.remove(&path) {
-                    self.oracle_pool.push(s);
-                }
-            }
-            Mode::Real {
-                stacks, per_path, ..
-            } => {
-                if *per_path && path != PathId::ROOT {
-                    if let Some(s) = stacks.remove(&path) {
-                        self.stats.absorb(s.stats());
-                        self.real_pool.push(s);
-                    }
-                }
-            }
-            Mode::Jourdan {
-                stacks, per_path, ..
-            } => {
-                if *per_path && path != PathId::ROOT {
-                    if let Some(s) = stacks.remove(&path) {
-                        self.stats.absorb(s.stats());
-                        self.jourdan_pool.push(s);
-                    }
-                }
-            }
-        }
+        with_table!(&mut self.mode, t => t.on_death(path, &mut self.stats), off => {});
     }
 
     /// Push a return address at fetch time (a call by `hart` on `path`).
@@ -373,11 +398,11 @@ impl RasUnit {
         let key = self.stack_key(hart, path);
         let overflow = match &mut self.mode {
             Mode::Off => return None,
-            Mode::Oracle { stacks } => {
-                stacks.entry(key).or_default().push(return_addr);
+            Mode::Oracle(t) => {
+                t.stacks.entry(key).or_default().push(return_addr);
                 Some(false)
             }
-            Mode::Real { stacks, .. } => stacks.get_mut(&key).map(|s| {
+            Mode::Real { table, .. } => table.stacks.get_mut(&key).map(|s| {
                 let overflow = s.push(return_addr);
                 // A push at full depth wraps and destroys the oldest
                 // frame; remember it so a later deep pop can be
@@ -387,7 +412,7 @@ impl RasUnit {
                 }
                 overflow
             }),
-            Mode::Jourdan { stacks, .. } => stacks.get_mut(&key).map(|s| s.push(return_addr)),
+            Mode::Jourdan(t) => t.stacks.get_mut(&key).map(|s| s.push(return_addr)),
         };
         self.last_accessor = Some(hart);
         overflow
@@ -407,14 +432,14 @@ impl RasUnit {
         let mut flags = 0u8;
         let out = match &mut self.mode {
             Mode::Off => None,
-            Mode::Oracle { stacks } => {
-                let r = stacks.get_mut(&key).and_then(Vec::pop);
+            Mode::Oracle(t) => {
+                let r = t.stacks.get_mut(&key).and_then(Vec::pop);
                 if r.is_some() {
                     flags |= popflags::FROM_STACK;
                 }
                 r
             }
-            Mode::Real { stacks, .. } => match stacks.get_mut(&key) {
+            Mode::Real { table, .. } => match table.stacks.get_mut(&key) {
                 Some(s) => {
                     if s.depth() == 0 {
                         flags |= popflags::UNDERFLOW;
@@ -438,11 +463,11 @@ impl RasUnit {
                 }
                 None => None,
             },
-            Mode::Jourdan { stacks, .. } => {
+            Mode::Jourdan(t) => {
                 // The self-checkpointing stack keeps its depth internal;
                 // classification for this mode is best-effort (hit vs.
                 // contention only).
-                let r = stacks.get_mut(&key).and_then(|s| s.pop());
+                let r = t.stacks.get_mut(&key).and_then(|s| s.pop());
                 if r.is_some() {
                     flags |= popflags::FROM_STACK;
                 }
@@ -502,10 +527,10 @@ impl RasUnit {
         let key = self.stack_key(hart, path);
         match &mut self.mode {
             Mode::Off => unreachable!("handled above"),
-            Mode::Oracle { stacks } => {
-                let mut image = self.oracle_pool.pop().unwrap_or_default();
+            Mode::Oracle(t) => {
+                let mut image = t.pool.pop().unwrap_or_default();
                 image.clear();
-                if let Some(s) = stacks.get(&key) {
+                if let Some(s) = t.stacks.get(&key) {
                     image.extend_from_slice(s);
                 }
                 Some(CkptHandle(Handle::Oracle {
@@ -513,16 +538,16 @@ impl RasUnit {
                     stack: image,
                 }))
             }
-            Mode::Real { stacks, repair, .. } => {
+            Mode::Real { table, repair } => {
                 let repair = *repair;
-                stacks.get_mut(&key).map(|s| {
+                table.stacks.get_mut(&key).map(|s| {
                     CkptHandle(Handle::Real {
                         path: key,
                         ckpt: s.checkpoint(repair),
                     })
                 })
             }
-            Mode::Jourdan { stacks, .. } => stacks.get_mut(&key).map(|s| {
+            Mode::Jourdan(t) => t.stacks.get_mut(&key).map(|s| {
                 CkptHandle(Handle::Jourdan {
                     path: key,
                     ckpt: s.checkpoint(),
@@ -535,8 +560,8 @@ impl RasUnit {
     /// correctly or was squashed, recycling any saved stack image.
     pub fn release(&mut self, handle: CkptHandle) {
         self.budget.release();
-        if let CkptHandle(Handle::Oracle { stack, .. }) = handle {
-            self.oracle_pool.push(stack);
+        if let (Mode::Oracle(t), Handle::Oracle { stack, .. }) = (&mut self.mode, handle.0) {
+            t.pool.push(stack);
         }
     }
 
@@ -546,22 +571,21 @@ impl RasUnit {
     pub fn restore(&mut self, handle: CkptHandle) {
         self.budget.release();
         match (&mut self.mode, handle.0) {
-            (Mode::Oracle { stacks }, Handle::Oracle { path, stack }) => {
+            (Mode::Oracle(t), Handle::Oracle { path, stack }) => {
                 // The path may have died between checkpoint and restore.
-                if let Some(s) = stacks.get_mut(&path) {
-                    let displaced = std::mem::replace(s, stack);
-                    self.oracle_pool.push(displaced);
-                } else {
-                    self.oracle_pool.push(stack);
-                }
+                let spare = match t.stacks.get_mut(&path) {
+                    Some(s) => std::mem::replace(s, stack),
+                    None => stack,
+                };
+                t.pool.push(spare);
             }
-            (Mode::Real { stacks, .. }, Handle::Real { path, ckpt }) => {
-                if let Some(s) = stacks.get_mut(&path) {
+            (Mode::Real { table, .. }, Handle::Real { path, ckpt }) => {
+                if let Some(s) = table.stacks.get_mut(&path) {
                     s.restore(&ckpt);
                 }
             }
-            (Mode::Jourdan { stacks, .. }, Handle::Jourdan { path, ckpt }) => {
-                if let Some(s) = stacks.get_mut(&path) {
+            (Mode::Jourdan(t), Handle::Jourdan { path, ckpt }) => {
+                if let Some(s) = t.stacks.get_mut(&path) {
                     s.restore(&ckpt);
                 }
             }
@@ -577,37 +601,13 @@ impl RasUnit {
         for h in &mut self.causes {
             *h = CauseHistogram::default();
         }
-        match &mut self.mode {
-            Mode::Real { stacks, .. } => {
-                for s in stacks.values_mut() {
-                    s.reset_stats();
-                }
-            }
-            Mode::Jourdan { stacks, .. } => {
-                for s in stacks.values_mut() {
-                    s.reset_stats();
-                }
-            }
-            Mode::Off | Mode::Oracle { .. } => {}
-        }
+        with_table!(&mut self.mode, t => t.reset_stats(), off => {});
     }
 
     /// Aggregated statistics over all stacks, live and dead.
     pub fn stats(&self) -> RasUnitStats {
         let mut out = self.stats;
-        match &self.mode {
-            Mode::Real { stacks, .. } => {
-                for s in stacks.values() {
-                    out.absorb(s.stats());
-                }
-            }
-            Mode::Jourdan { stacks, .. } => {
-                for s in stacks.values() {
-                    out.absorb(s.stats());
-                }
-            }
-            Mode::Off | Mode::Oracle { .. } => {}
-        }
+        with_table!(&self.mode, t => t.absorb_stats(&mut out), off => {});
         out
     }
 }
@@ -705,6 +705,54 @@ mod tests {
         u.on_path_death(child);
         // Stats from the dead child's stack were harvested.
         assert!(u.stats().pushes >= 2);
+    }
+
+    #[test]
+    fn a_pooled_stack_forks_with_the_parent_contents_and_zeroed_stats() {
+        for rp in [
+            ReturnPredictor::baseline(),
+            ReturnPredictor::SelfCheckpointing { entries: 8 },
+            ReturnPredictor::Perfect,
+        ] {
+            let mut u = RasUnit::new(&CoreConfig {
+                return_predictor: rp,
+                ..CoreConfig::multipath(2, MultipathStackPolicy::PerPath)
+            });
+            let pooled = |u: &RasUnit| with_table!(&u.mode, t => t.pool.len(), off => 0);
+            let mut paths = crate::path::PathTable::new(2);
+            u.push(H0, PathId::ROOT, 0x10);
+            u.push(H0, PathId::ROOT, 0x20);
+            let a = paths.fork(PathId::ROOT, 1).unwrap();
+            u.on_fork(PathId::ROOT, a);
+            u.push(H0, a, 0x30);
+            assert_eq!(u.pop(H0, a), Some(0x30), "{rp:?}");
+            let counted = u.stats();
+            paths.kill_subtree(a);
+            u.on_path_death(a);
+            assert_eq!(u.stats(), counted, "{rp:?}: the dead path's counts stay");
+            assert_eq!(pooled(&u), 1, "{rp:?}");
+
+            let b = paths.fork(PathId::ROOT, 2).unwrap();
+            u.on_fork(PathId::ROOT, b);
+            assert_eq!(pooled(&u), 0, "{rp:?}: the fork reused the pooled stack");
+            assert_eq!(
+                u.stats(),
+                counted,
+                "{rp:?}: the reused stack counts nothing yet"
+            );
+            assert_eq!(u.pop(H0, b), Some(0x20), "{rp:?}");
+            assert_eq!(u.pop(H0, b), Some(0x10), "{rp:?}");
+            if rp == ReturnPredictor::Perfect {
+                assert_eq!(
+                    u.stats(),
+                    RasUnitStats::default(),
+                    "oracle stacks count nothing"
+                );
+            } else {
+                assert_eq!(u.stats().pushes, 3, "{rp:?}");
+                assert_eq!(u.stats().pops, 3, "{rp:?}");
+            }
+        }
     }
 
     #[test]

@@ -132,9 +132,9 @@ impl RasUnit {
     fn mode_tag(&self) -> u8 {
         match self.mode {
             Mode::Off => 0,
-            Mode::Oracle { .. } => 1,
+            Mode::Oracle(_) => 1,
             Mode::Real { .. } => 2,
-            Mode::Jourdan { .. } => 3,
+            Mode::Jourdan(_) => 3,
         }
     }
 
@@ -143,12 +143,12 @@ impl RasUnit {
         w.u8(self.mode_tag());
         match &self.mode {
             Mode::Off => {}
-            Mode::Oracle { stacks } => encode_sorted_map(w, stacks, |w, s| w.seq(s)),
-            Mode::Real { stacks, .. } => {
-                encode_sorted_map(w, stacks, |w, s| encode_stack(w, s.snapshot_parts()))
+            Mode::Oracle(t) => encode_sorted_map(w, &t.stacks, |w, s| w.seq(s)),
+            Mode::Real { table, .. } => {
+                encode_sorted_map(w, &table.stacks, |w, s| encode_stack(w, s.snapshot_parts()))
             }
-            Mode::Jourdan { stacks, .. } => {
-                encode_sorted_map(w, stacks, |w, s| encode_stack(w, s.snapshot_parts()))
+            Mode::Jourdan(t) => {
+                encode_sorted_map(w, &t.stacks, |w, s| encode_stack(w, s.snapshot_parts()))
             }
         }
         w.usize(self.budget.in_flight());
@@ -171,22 +171,18 @@ impl RasUnit {
         // Every stack encoding starts with an 8-byte count.
         match &mut unit.mode {
             Mode::Off => {}
-            Mode::Oracle { stacks } => {
-                *stacks = decode_sorted_map(r, 8, UNSORTED_STACKS, |r| r.seq())?;
+            Mode::Oracle(t) => {
+                t.stacks = decode_sorted_map(r, 8, UNSORTED_STACKS, |r| r.seq())?;
             }
-            Mode::Real {
-                stacks, capacity, ..
-            } => {
-                let cap = *capacity;
-                *stacks = decode_sorted_map(r, 8, UNSORTED_STACKS, |r| {
+            Mode::Real { table, .. } => {
+                let cap = table.capacity;
+                table.stacks = decode_sorted_map(r, 8, UNSORTED_STACKS, |r| {
                     decode_stack(r, cap, REAL_STACK, ReturnAddressStack::from_snapshot_parts)
                 })?;
             }
-            Mode::Jourdan {
-                stacks, capacity, ..
-            } => {
-                let cap = *capacity;
-                *stacks = decode_sorted_map(r, 8, UNSORTED_STACKS, |r| {
+            Mode::Jourdan(t) => {
+                let cap = t.capacity;
+                t.stacks = decode_sorted_map(r, 8, UNSORTED_STACKS, |r| {
                     decode_stack(
                         r,
                         cap,
@@ -264,7 +260,7 @@ impl RasUnit {
         let kind = r.u8()?;
         let path = PathId::decode(r)?;
         let handle = match (&self.mode, kind) {
-            (Mode::Real { capacity, .. }, 0) => Handle::Real {
+            (Mode::Real { table, .. }, 0) => Handle::Real {
                 path,
                 ckpt: RasCheckpoint::from_snapshot_parts(
                     RepairPolicy::decode(r)?,
@@ -272,17 +268,17 @@ impl RasUnit {
                     r.usize()?,
                     r.u64()?,
                     SavedContents::decode(r)?,
-                    *capacity,
+                    table.capacity,
                 )
                 .ok_or(SnapError::Corrupt("inconsistent RAS checkpoint"))?,
             },
-            (Mode::Oracle { .. }, 1) => Handle::Oracle {
+            (Mode::Oracle(_), 1) => Handle::Oracle {
                 path,
                 stack: r.seq()?,
             },
-            (Mode::Jourdan { capacity, .. }, 2) => Handle::Jourdan {
+            (Mode::Jourdan(t), 2) => Handle::Jourdan {
                 path,
-                ckpt: LinkCheckpoint::from_snapshot_parts(r.usize()?, r.u64()?, *capacity)
+                ckpt: LinkCheckpoint::from_snapshot_parts(r.usize()?, r.u64()?, t.capacity)
                     .ok_or(SnapError::Corrupt("inconsistent link checkpoint"))?,
             },
             _ => {
@@ -401,10 +397,8 @@ mod tests {
                 }
             }
             match &unit.mode {
-                Mode::Real {
-                    stacks, capacity, ..
-                } => {
-                    for s in stacks.values() {
+                Mode::Real { table, .. } => {
+                    for s in table.stacks.values() {
                         let (entries, .., stats) = s.snapshot_parts();
                         assert_snap_round_trip(&stats);
                         entries.iter().for_each(assert_snap_round_trip);
@@ -414,7 +408,7 @@ mod tests {
                             |r| {
                                 decode_stack(
                                     r,
-                                    *capacity,
+                                    table.capacity,
                                     REAL_STACK,
                                     ReturnAddressStack::from_snapshot_parts,
                                 )
@@ -422,10 +416,8 @@ mod tests {
                         );
                     }
                 }
-                Mode::Jourdan {
-                    stacks, capacity, ..
-                } => {
-                    for s in stacks.values() {
+                Mode::Jourdan(t) => {
+                    for s in t.stacks.values() {
                         s.snapshot_parts().0.iter().for_each(assert_snap_round_trip);
                         assert_round_trip(
                             s,
@@ -433,7 +425,7 @@ mod tests {
                             |r| {
                                 decode_stack(
                                     r,
-                                    *capacity,
+                                    t.capacity,
                                     LINK_STACK,
                                     SelfCheckpointingStack::from_snapshot_parts,
                                 )
@@ -441,7 +433,7 @@ mod tests {
                         );
                     }
                 }
-                Mode::Off | Mode::Oracle { .. } => {}
+                Mode::Off | Mode::Oracle(_) => {}
             }
         }
     }
