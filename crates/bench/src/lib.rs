@@ -45,7 +45,7 @@
 //! Results are structured, not just rendered: every experiment's table
 //! carries typed cells, and the [`results`] module projects a run into
 //! schema-versioned JSON or CSV documents through a
-//! [`ResultSink`](results::ResultSink) (`expt --format json|csv|table`,
+//! [`ResultSink`] (`expt --format json|csv|table`,
 //! `expt --out <dir>`). The [`golden`] module diffs fresh documents
 //! against committed quick-mode snapshots in `goldens/`
 //! (`expt --check-golden`), which is what lets CI catch a silent

@@ -1,6 +1,6 @@
 //! The schema-versioned structured-results layer.
 //!
-//! Every [`Experiment`](crate::Experiment) harvests to a typed
+//! Every [`Experiment`] harvests to a typed
 //! [`hydra_stats::Table`]; this module projects those tables into
 //! machine-readable documents and routes them through a [`ResultSink`]:
 //!

@@ -221,14 +221,6 @@ impl SelfCheckpointingStack {
         }
     }
 
-    /// Creates an independent copy for a forked execution path, with
-    /// statistics reset.
-    pub fn fork(&self) -> Self {
-        let mut copy = self.clone();
-        copy.reset_stats();
-        copy
-    }
-
     /// Raw state for external snapshot serializers:
     /// `(entries, tos, alloc, next_seq, stats)`.
     pub fn snapshot_parts(&self) -> (&[LinkEntry], usize, usize, u64, RasStats) {
@@ -268,10 +260,10 @@ impl SelfCheckpointingStack {
         })
     }
 
-    /// [`SelfCheckpointingStack::fork`] into an existing (pooled) stack:
-    /// copies this stack's state over `dst` reusing `dst`'s entry buffer,
-    /// so forking a path costs no heap allocation. Statistics on `dst`
-    /// are reset, exactly as `fork` does.
+    /// Copies this stack over `dst` for a forked execution path, reusing
+    /// `dst`'s entry buffer so forking a path costs no heap allocation.
+    /// Statistics on `dst` are reset so each path accounts its own
+    /// events.
     pub fn fork_into(&self, dst: &mut Self) {
         dst.entries.clear();
         dst.entries.extend_from_slice(&self.entries);
@@ -383,7 +375,9 @@ mod tests {
     fn fork_is_independent() {
         let mut s = SelfCheckpointingStack::new(8);
         s.push(7);
-        let mut f = s.fork();
+        let mut f = SelfCheckpointingStack::new(8);
+        f.push(9);
+        s.fork_into(&mut f);
         assert_eq!(f.stats().pushes, 0);
         f.push(8);
         assert_eq!(s.peek(), Some(7));

@@ -264,15 +264,6 @@ impl ReturnAddressStack {
         }
     }
 
-    /// Creates an independent copy for a forked execution path (the
-    /// per-path-stack organization for multipath processors). Statistics
-    /// are reset on the copy so each path accounts its own events.
-    pub fn fork(&self) -> Self {
-        let mut copy = self.clone();
-        copy.reset_stats();
-        copy
-    }
-
     /// Raw state for external snapshot serializers:
     /// `(entries, tos, depth, next_seq, stats)`.
     pub fn snapshot_parts(&self) -> (&[Entry], usize, usize, u64, RasStats) {
@@ -309,10 +300,11 @@ impl ReturnAddressStack {
         })
     }
 
-    /// [`ReturnAddressStack::fork`] into an existing (pooled) stack:
-    /// copies this stack's state over `dst` reusing `dst`'s entry buffer,
-    /// so forking a path costs no heap allocation. Statistics on `dst`
-    /// are reset, exactly as `fork` does.
+    /// Copies this stack over `dst` for a forked execution path (the
+    /// per-path-stack organization for multipath processors), reusing
+    /// `dst`'s entry buffer so forking a path costs no heap allocation.
+    /// Statistics on `dst` are reset so each path accounts its own
+    /// events.
     pub fn fork_into(&self, dst: &mut Self) {
         dst.entries.clear();
         dst.entries.extend_from_slice(&self.entries);
@@ -551,12 +543,13 @@ mod tests {
         let mut s = ReturnAddressStack::new(4);
         s.push(1);
         s.push(2);
-        let f = s.fork();
+        let mut f = ReturnAddressStack::new(4);
+        f.push(9);
+        s.fork_into(&mut f);
         assert_eq!(f.peek(), Some(2));
         assert_eq!(f.depth(), 2);
         assert_eq!(f.stats().pushes, 0);
         // The two stacks are independent.
-        let mut f = f;
         f.push(3);
         assert_eq!(s.peek(), Some(2));
         assert_eq!(f.peek(), Some(3));

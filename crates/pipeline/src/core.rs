@@ -232,6 +232,13 @@ pub struct Core {
     /// squashed since are dropped by the next issue. Derived state: a
     /// snapshot decode rebuilds it from the RUU.
     ready: Vec<(u64, u32)>,
+    /// The completion list: `(done_at, seq, slot)` of every `Issued`
+    /// micro-op in the RUU, sorted descending so the next completion is
+    /// at the end. Issue inserts, writeback pops what is due, and commit
+    /// removes a squashed micro-op it drains before completion — the only
+    /// way an issued micro-op leaves the RUU early — so the list never
+    /// outgrows the RUU. Derived state: a snapshot decode rebuilds it.
+    completions: Vec<(u64, u64, u32)>,
     lsq: Lsq,
 
     stats: SimStats,
@@ -350,6 +357,7 @@ impl Core {
             scratch_killed: Vec::new(),
             scratch_released: Vec::new(),
             scratch_seqs: Vec::new(),
+            completions: Vec::with_capacity(config.ruu_size),
             config,
         }
     }
@@ -615,6 +623,13 @@ impl Core {
                 // charge the slot to whatever squashed the micro-op.
                 let seq = self.slab[hu].seq;
                 let cause = self.slab[hu].squash_cause;
+                if let UopState::Issued { done_at } = self.slab[hu].state {
+                    let at = self
+                        .completions
+                        .binary_search_by(|e| (done_at, seq, head).cmp(e))
+                        .expect("issued micro-op is on the completion list");
+                    self.completions.remove(at);
+                }
                 self.ruu.pop_front();
                 self.lsq_remove_for(head);
                 self.emit(Event::Uop {
@@ -850,22 +865,21 @@ impl Core {
     // ------------------------------------------------------------------
 
     fn writeback(&mut self) {
-        // Walk oldest-first so an older misprediction squashes younger
-        // control before it resolves. Resolution never adds or removes
-        // RUU entries (squashes only mark flags), so positional
-        // iteration is safe and needs no snapshot of completions.
-        for i in 0..self.ruu.len() {
-            let slot = self.ruu[i];
-            let su = slot as usize;
-            let done = matches!(
-                self.slab[su].state,
-                UopState::Issued { done_at } if done_at <= self.cycle
-            );
-            if !done {
-                continue;
+        #[cfg(debug_assertions)]
+        self.check_completions();
+        // Issue runs after writeback and completes nothing sooner than the
+        // next cycle, so everything due now is due exactly now, and popping
+        // by `(done_at, seq)` visits it oldest-first, in RUU order: an older
+        // misprediction squashes younger control before it resolves.
+        // Resolution only marks flags, so it never touches the list.
+        while let Some(&(done_at, seq, slot)) = self.completions.last() {
+            if done_at > self.cycle {
+                break;
             }
+            debug_assert_eq!(done_at, self.cycle, "completion overdue");
+            self.completions.pop();
+            let su = slot as usize;
             self.slab[su].state = UopState::Done;
-            let seq = self.slab[su].seq;
             self.emit(Event::Uop {
                 seq,
                 stage: UopStage::Complete,
@@ -877,6 +891,56 @@ impl Core {
             }
             self.resolve(slot);
         }
+    }
+
+    /// Lists an issued micro-op on the completion list, keeping it sorted
+    /// descending by `(done_at, seq)`.
+    fn list_completion(&mut self, done_at: u64, seq: u64, slot: u32) {
+        let entry = (done_at, seq, slot);
+        if let Err(at) = self.completions.binary_search_by(|e| entry.cmp(e)) {
+            debug_assert!(
+                self.completions.len() < self.completions.capacity(),
+                "completion list overflow"
+            );
+            self.completions.insert(at, entry);
+        }
+    }
+
+    /// Debug-build oracle: the completion list must hold exactly the
+    /// RUU's `Issued` micro-ops, in descending `(done_at, seq)` order, and
+    /// never more than the RUU holds. Allocation-free, so it also runs
+    /// inside the steady-state allocation tests.
+    #[cfg(debug_assertions)]
+    fn check_completions(&self) {
+        assert!(
+            self.completions.len() <= self.config.ruu_size,
+            "completion list outgrew the RUU at cycle {}",
+            self.cycle
+        );
+        assert!(
+            self.completions.windows(2).all(|w| w[0] > w[1]),
+            "completion list out of order at cycle {}",
+            self.cycle
+        );
+        for &(done_at, seq, slot) in &self.completions {
+            let u = &self.slab[slot as usize];
+            assert!(
+                u.in_ruu && u.seq == seq && u.state == UopState::Issued { done_at },
+                "completion list names seq {seq} in slot {slot}, which is not issued in the RUU at cycle {}",
+                self.cycle
+            );
+        }
+        let issued = self
+            .ruu
+            .iter()
+            .filter(|&&slot| matches!(self.slab[slot as usize].state, UopState::Issued { .. }))
+            .count();
+        assert_eq!(
+            issued,
+            self.completions.len(),
+            "completion list misses issued micro-ops at cycle {}",
+            self.cycle
+        );
     }
 
     fn resolve(&mut self, slot: u32) {
@@ -1371,9 +1435,9 @@ impl Core {
         u.taken_actual = taken_actual;
         u.mem_addr = mem_addr;
         u.store_value = store_value;
-        u.state = UopState::Issued {
-            done_at: self.cycle + latency.max(1),
-        };
+        let done_at = self.cycle + latency.max(1);
+        u.state = UopState::Issued { done_at };
+        self.list_completion(done_at, seq, slot);
         self.emit(Event::Uop {
             seq,
             stage: UopStage::Issue,
@@ -2685,12 +2749,17 @@ mod ready_list_tests {
     use hydra_workloads::{Workload, WorkloadSpec};
     use ras_core::MultipathStackPolicy;
 
-    /// The derived state a resume must rebuild: the ready list, RUU
-    /// membership, and every pending operand's producer slot.
+    /// The derived state a resume must rebuild: the ready list, the
+    /// completion list, RUU membership, and every pending operand's
+    /// producer slot.
     fn assert_derived_state_matches(donor: &Core, resumed: &Core, at: u64) {
         assert_eq!(
             donor.ready, resumed.ready,
             "ready list differs at cycle {at}"
+        );
+        assert_eq!(
+            donor.completions, resumed.completions,
+            "completion list differs at cycle {at}"
         );
         for (slot, (d, r)) in donor.slab.iter().zip(&resumed.slab).enumerate() {
             assert_eq!(
@@ -2716,6 +2785,10 @@ mod ready_list_tests {
                 donor.ready, resumed.ready,
                 "ready lists diverge after cycle {at}"
             );
+            assert_eq!(
+                donor.completions, resumed.completions,
+                "completion lists diverge after cycle {at}"
+            );
         }
     }
 
@@ -2728,11 +2801,15 @@ mod ready_list_tests {
             CoreConfig::multipath(4, MultipathStackPolicy::PerPath),
         ];
         let mut nonempty = 0;
+        let mut in_flight = 0;
         for config in configs {
             let mut donor = Core::new(config, w.program());
             for mark in [1_013u64, 2_999, 7_001, 12_345, 20_011] {
                 while donor.cycle() < mark {
                     donor.step();
+                }
+                if !donor.completions.is_empty() {
+                    in_flight += 1;
                 }
                 check_split(&mut donor, w.program());
                 // The ready list is usually empty between cycles (issue
@@ -2748,5 +2825,27 @@ mod ready_list_tests {
             }
         }
         assert!(nonempty > 0, "no split point had a non-empty ready list");
+        assert!(
+            in_flight > 0,
+            "no split point had a non-empty completion list"
+        );
+    }
+
+    #[test]
+    fn resume_refuses_an_overdue_issued_micro_op() {
+        let w = Workload::generate(&WorkloadSpec::by_name("gcc").expect("known"), 12345)
+            .expect("generates");
+        let mut core = Core::new(CoreConfig::baseline(), w.program());
+        while core.completions.is_empty() || core.cycle() < 1_000 {
+            core.step();
+        }
+        let (_, _, slot) = core.completions[0];
+        core.slab[slot as usize].state = UopState::Issued {
+            done_at: core.cycle() - 1,
+        };
+        assert!(matches!(
+            Core::resume(&core.save_snapshot(), w.program()),
+            Err(crate::SnapError::Corrupt("issued micro-op is overdue"))
+        ));
     }
 }

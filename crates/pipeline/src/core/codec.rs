@@ -802,7 +802,14 @@ impl Core {
             return Err(SnapError::Corrupt("RUU overflow"));
         }
         for _ in 0..nruu {
-            self.ruu.push_back(slot_in_range(r.u32()?)?);
+            let slot = slot_in_range(r.u32()?)?;
+            // Writeback completes each micro-op in its `done_at` cycle,
+            // so one still issued is never due before the resume cycle.
+            if matches!(self.slab[slot as usize].state, UopState::Issued { done_at } if done_at < self.cycle)
+            {
+                return Err(SnapError::Corrupt("issued micro-op is overdue"));
+            }
+            self.ruu.push_back(slot);
         }
         self.lsq = decode_lsq(r, self.config.lsq_size)?;
         self.rebuild_derived();
@@ -810,7 +817,7 @@ impl Core {
     }
 
     /// Rebuilds the state a snapshot leaves out: operand producer slots,
-    /// RUU membership and the ready list. Seqs are unique per core and a
+    /// RUU membership, the ready list and the completion list. Seqs are unique per core and a
     /// freed slot keeps its seq until reuse, so a pending operand's
     /// producer is the one slab entry carrying that seq; one no longer in
     /// the slab keeps [`NIL`] and reads as a departed producer.
@@ -832,10 +839,15 @@ impl Core {
             self.slab[slot as usize].in_ruu = true;
         }
         self.ready.clear();
+        self.completions.clear();
         for i in 0..self.ruu.len() {
             let slot = self.ruu[i];
+            let seq = self.slab[slot as usize].seq;
             if self.is_ready(slot) {
-                self.list_ready(self.slab[slot as usize].seq, slot);
+                self.list_ready(seq, slot);
+            }
+            if let UopState::Issued { done_at } = self.slab[slot as usize].state {
+                self.list_completion(done_at, seq, slot);
             }
         }
     }

@@ -17,7 +17,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use hydra_pipeline::{Core, CoreConfig, RasSharing};
+use hydra_mem::HierarchyConfig;
+use hydra_pipeline::{Core, CoreConfig, FuLatencies, RasSharing};
 use hydra_workloads::{Workload, WorkloadSpec};
 
 thread_local! {
@@ -130,6 +131,30 @@ fn narrow_window_steady_state_cycles_allocate_nothing() {
     assert_eq!(
         allocs, 0,
         "heap allocations leaked into the narrow-window steady-state hot loop"
+    );
+}
+
+#[test]
+fn high_latency_memory_steady_state_cycles_allocate_nothing() {
+    // Long memory and divide latencies keep many issued micro-ops in
+    // flight, and squashed ones drain before they complete. The
+    // completion list drops those at drain, so its bound is the RUU,
+    // whatever the latency.
+    let config = CoreConfig::builder()
+        .mem(HierarchyConfig {
+            memory_latency: 400,
+            l2_latency: 40,
+            ..HierarchyConfig::default()
+        })
+        .latencies(FuLatencies {
+            div: 60,
+            ..FuLatencies::default()
+        })
+        .build();
+    let allocs = steady_state_allocs(config);
+    assert_eq!(
+        allocs, 0,
+        "heap allocations leaked into the high-latency steady-state hot loop"
     );
 }
 

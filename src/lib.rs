@@ -19,7 +19,7 @@
 //! * [`workloads`] (`hydra-workloads`) — the SPECint95-like synthetic
 //!   benchmark suite;
 //! * [`stats`] (`hydra-stats`) — counters and report tables;
-//! * [`bench`] (`hydra-bench`) — the experiment harness behind the
+//! * [`bench`](mod@bench) (`hydra-bench`) — the experiment harness behind the
 //!   `expt` binary, the repository's one command line: every table and
 //!   figure of the paper as a registered experiment, single-configuration
 //!   runs (`expt run`), and event traces of runs ([`trace`], a sink on
